@@ -150,11 +150,16 @@ def exact_delta_gaussian_linear(scheme: CoefficientScheme, n: int,
                       R=0, seed=seed)
 
 
+def _is_gaussian_linear(model) -> bool:
+    """Whether S_n is exactly normal, so Delta_n has a closed form."""
+    return (isinstance(model, LinearModel)
+            and model.law.kind == "standard-gaussian")
+
+
 def gaussian_linear_delta_from_model(model: LinearModel, n: int,
                                      normalization: str,
                                      seed: int = 0) -> BEEstimate:
-    if not isinstance(model, LinearModel) \
-            or model.law.kind != "standard-gaussian":
+    if not _is_gaussian_linear(model):
         raise ModelMismatchError(
             "closed form needs a linear model with standard-gaussian law")
     return exact_delta_gaussian_linear(model.scheme, n, normalization, seed)

@@ -12,7 +12,9 @@ For the m-projected linear model everything is a linear form in the
 innovations, so conditional expectations are exact coefficient sums: an
 innovation in an odd ("primed-away") block contributes zero to E_{F_m},
 and sigma_{j|m}^2 is the sum of squared weights of the odd-block
-innovations feeding block pair j.  Other models use nested Monte Carlo.
+innovations feeding block pair j.  The doubling map uses nested Monte
+Carlo over its closed-form m-projection; models without an m-projection
+(Hoelder functionals, the GL_d walk) are rejected.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
 from .innovations import SERIES_AUX, SERIES_BASE, law_values
 from .processes import (
     DoublingModel,
-    DoublingProjectedModel,
     LinearModel,
     m_project,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "BlockSums",
     "BlockDiagnostics",
     "make_layout",
+    "block_mode",
     "conditional_block_sums",
     "conditional_variances",
     "degeneracy_probability",
@@ -64,6 +66,24 @@ class BlockLayout:
             raise LayoutError("n != 2(N-1)m + m'")
         if not (2 * self.m_prime >= self.m and self.m_prime <= self.m):
             raise LayoutError("remainder m' must satisfy m/2 <= m' <= m")
+
+    # k-ranges (klo, khi) of the block constructions for pair j; khi may
+    # run past n in the last pair, where the remainder block is shorter
+
+    def u_range(self, j: int) -> tuple[int, int]:
+        return (2 * j - 2) * self.m + 1, (2 * j - 1) * self.m
+
+    def r_range(self, j: int) -> tuple[int, int]:
+        return (2 * j - 1) * self.m + 1, 2 * j * self.m
+
+    def y2_range(self, j: int) -> tuple[int, int]:
+        if j == 1:
+            return 1, self.m
+        return (2 * j - 3) * self.m + 1, (2 * j - 1) * self.m
+
+    def k_slice(self, klo: int, khi: int) -> slice:
+        """Columns of X_1..X_n holding k = klo..khi (clipped at n)."""
+        return slice(klo - 1, min(khi, self.n))
 
 
 def make_layout(n: int, m: int) -> BlockLayout:
@@ -114,27 +134,13 @@ class _LinearBlocks:
             return np.zeros_like(self.t, dtype=float)
         return self._C_at(khi - self.t) - self._C_at(klo - 1 - self.t)
 
-    def u_range(self, j: int):
-        m = self.layout.m
-        return (2 * j - 2) * m + 1, (2 * j - 1) * m
-
-    def r_range(self, j: int):
-        m = self.layout.m
-        return (2 * j - 1) * m + 1, 2 * j * m
-
-    def y2_range(self, j: int):
-        m = self.layout.m
-        if j == 1:
-            return 1, m
-        return (2 * j - 3) * m + 1, (2 * j - 1) * m
-
     def sigma_j_given_m(self) -> np.ndarray:
         """Conditional variances sigma_{j|m}^2 — deterministic: the
         unobserved innovations of block pair j live in odd block 2j-1."""
         m, N = self.layout.m, self.layout.N
         out = np.empty(N)
         for j in range(1, N + 1):
-            klo, khi = self.u_range(j)[0], self.r_range(j)[1]
+            klo, khi = self.layout.u_range(j)[0], self.layout.r_range(j)[1]
             w = self.range_weights(klo, khi)
             sel = ~self.observed
             out[j - 1] = np.dot(w[sel], w[sel]) / (2.0 * m)
@@ -142,13 +148,6 @@ class _LinearBlocks:
 
     def global_weights(self) -> np.ndarray:
         return self.range_weights(1, self.layout.n)
-
-
-def _require_exactable(model) -> LinearModel:
-    if not isinstance(model, LinearModel):
-        raise ModelMismatchError(
-            "exact block mode is available for linear models only")
-    return model
 
 
 @dataclass(frozen=True)
@@ -161,12 +160,45 @@ class BlockSums:
 
 
 def _nested_projection(model, m: int):
-    proj = m_project(model, m)
-    if not isinstance(proj, (LinearModel, DoublingProjectedModel)):
+    try:
+        return m_project(model, m)
+    except ModelMismatchError:
         raise ModelMismatchError(
             f"nested-mc blocks need a cheap m-projection; "
-            f"{type(model).__name__} does not provide one")
-    return proj
+            f"{type(model).__name__} does not provide one") from None
+
+
+def block_mode(model, m: int, mode: str = "auto") -> str:
+    """The route the block functions take for ``model``: 'exact' (linear
+    models; what 'auto' picks for them) or 'nested-mc' over the
+    m-projection (what 'auto' picks otherwise).  Raises ModelMismatchError
+    when the model does not support the route."""
+    if mode == "auto":
+        mode = "exact" if isinstance(model, LinearModel) else "nested-mc"
+    if mode == "exact":
+        if not isinstance(model, LinearModel):
+            raise ModelMismatchError(
+                "exact block mode is available for linear models only")
+    elif mode == "nested-mc":
+        _nested_projection(model, m)
+    else:
+        raise PreconditionError("mode must be exact, nested-mc or auto")
+    return mode
+
+
+def _nested_draws(proj, layout: BlockLayout, seed, replication: int, K: int):
+    """The replication's innovations over times 1-m..n and a (K, n + m)
+    stack of nested copies whose unobserved slots are fresh draws from
+    the reserved stream."""
+    t = np.arange(1 - layout.m, layout.n + 1)
+    obs = _is_observed(t, layout.m)
+    eps = law_values(proj.law, seed, replication, SERIES_BASE, t)
+    chans = (_CH_NESTED + np.arange(K))[:, None]
+    fresh = law_values(proj.law, seed, replication, SERIES_AUX, t[~obs],
+                       channel=chans)
+    stack = np.broadcast_to(eps, (K, len(t))).copy()
+    stack[:, ~obs] = fresh
+    return eps, stack
 
 
 def _nested_xkm(proj, layout: BlockLayout, eps: np.ndarray) -> np.ndarray:
@@ -190,71 +222,35 @@ def conditional_block_sums(model, layout: BlockLayout, replication: int,
     replication.  Y_j^(2) collects E_{F_m} X_{km} over the non-overlapping
     k-partition (block 1 | blocks 2j-2, 2j-1), under which the Y_j^(2)
     depend on disjoint observed innovation blocks and are independent."""
-    if mode == "auto":
-        mode = "exact" if isinstance(model, LinearModel) else "nested-mc"
-    m, n, N = layout.m, layout.n, layout.N
-    t = np.arange(1 - m, n + 1)
+    mode = block_mode(model, layout.m, mode)
+    N = layout.N
 
     if mode == "exact":
-        lin = _LinearBlocks(_require_exactable(model), layout)
-        eps = law_values(lin.model.law, seed, replication, SERIES_BASE, t)
+        lin = _LinearBlocks(model, layout)
+        eps = law_values(lin.model.law, seed, replication, SERIES_BASE, lin.t)
         obs, unobs = lin.observed, ~lin.observed
         U = np.empty(N); Rj = np.empty(N); Y2 = np.empty(N)
         for j in range(1, N + 1):
-            wu = lin.range_weights(*lin.u_range(j))
-            wr = lin.range_weights(*lin.r_range(j))
-            wy2 = lin.range_weights(*lin.y2_range(j))
+            wu = lin.range_weights(*layout.u_range(j))
+            wr = lin.range_weights(*layout.r_range(j))
+            wy2 = lin.range_weights(*layout.y2_range(j))
             U[j - 1] = np.dot(wu[unobs], eps[unobs])
             Rj[j - 1] = np.dot(wr[unobs], eps[unobs])
             Y2[j - 1] = np.dot(wy2[obs], eps[obs])
         return BlockSums(U=U, R=Rj, Y1=U + Rj, Y2=Y2, mode="exact")
 
-    if mode != "nested-mc":
-        raise PreconditionError("mode must be exact, nested-mc or auto")
-    proj = _nested_projection(model, m)
-    obs = _is_observed(t, m)
-    eps = law_values(proj.law, seed, replication, SERIES_BASE, t)
+    proj = _nested_projection(model, layout.m)
+    eps, stack = _nested_draws(proj, layout, seed, replication, K)
     x = _nested_xkm(proj, layout, eps)
     # E_{F_m} X_{km} by averaging K fresh draws of the unobserved slots
-    chans = (_CH_NESTED + np.arange(K))[:, None]
-    fresh = law_values(proj.law, seed, replication, SERIES_AUX, t[~obs],
-                       channel=chans)
-    stack = np.broadcast_to(eps, (K, len(t))).copy()
-    stack[:, ~obs] = fresh
     cond_mean = _nested_xkm(proj, layout, stack).mean(axis=0)
     centered = x - cond_mean
     U = np.empty(N); Rj = np.empty(N); Y2 = np.empty(N)
-    lin_helper = _LayoutRanges(layout)
     for j in range(1, N + 1):
-        U[j - 1] = centered[lin_helper.slice_k(*lin_helper.u_range(j))].sum()
-        Rj[j - 1] = centered[lin_helper.slice_k(*lin_helper.r_range(j))].sum()
-        Y2[j - 1] = cond_mean[lin_helper.slice_k(*lin_helper.y2_range(j))].sum()
+        U[j - 1] = centered[layout.k_slice(*layout.u_range(j))].sum()
+        Rj[j - 1] = centered[layout.k_slice(*layout.r_range(j))].sum()
+        Y2[j - 1] = cond_mean[layout.k_slice(*layout.y2_range(j))].sum()
     return BlockSums(U=U, R=Rj, Y1=U + Rj, Y2=Y2, mode="nested-mc")
-
-
-class _LayoutRanges:
-    """k-ranges of the block constructions, independent of the model."""
-
-    def __init__(self, layout: BlockLayout):
-        self.layout = layout
-
-    def u_range(self, j):
-        m = self.layout.m
-        return (2 * j - 2) * m + 1, (2 * j - 1) * m
-
-    def r_range(self, j):
-        m = self.layout.m
-        return (2 * j - 1) * m + 1, 2 * j * m
-
-    def y2_range(self, j):
-        m = self.layout.m
-        if j == 1:
-            return 1, m
-        return (2 * j - 3) * m + 1, (2 * j - 1) * m
-
-    def slice_k(self, klo, khi):
-        khi = min(khi, self.layout.n)
-        return slice(klo - 1, khi)
 
 
 @dataclass(frozen=True)
@@ -285,12 +281,11 @@ def conditional_variances(model, layout: BlockLayout, replication: int = 0,
     ss_nm^2 = sigma_bar^2 + varsigma_bar^2 is checked against the
     independently computed autocovariance route at 1e-10.
     """
-    if mode == "auto":
-        mode = "exact" if isinstance(model, LinearModel) else "nested-mc"
+    mode = block_mode(model, layout.m, mode)
     m, n, N = layout.m, layout.n, layout.N
 
     if mode == "exact":
-        lin = _LinearBlocks(_require_exactable(model), layout)
+        lin = _LinearBlocks(model, layout)
         sigma_j = lin.sigma_j_given_m()
         w = lin.global_weights()
         unobs = ~lin.observed
@@ -313,24 +308,14 @@ def conditional_variances(model, layout: BlockLayout, replication: int = 0,
             ss_nm2=ss_nm2, mode="exact", layout=layout,
             identity_residual=float(residual))
 
-    if mode != "nested-mc":
-        raise PreconditionError("mode must be exact, nested-mc or auto")
     proj = _nested_projection(model, m)
-    t = np.arange(1 - m, n + 1)
-    obs = _is_observed(t, m)
-    eps = law_values(proj.law, seed, replication, SERIES_BASE, t)
-    chans = (_CH_NESTED + np.arange(K))[:, None]
-    fresh = law_values(proj.law, seed, replication, SERIES_AUX, t[~obs],
-                       channel=chans)
-    stack = np.broadcast_to(eps, (K, len(t))).copy()
-    stack[:, ~obs] = fresh
+    _, stack = _nested_draws(proj, layout, seed, replication, K)
     x = _nested_xkm(proj, layout, stack)  # (K, n)
     cond_mean = x.mean(axis=0)
     centered = x - cond_mean
-    ranges = _LayoutRanges(layout)
     sigma_j = np.empty(N)
     for j in range(1, N + 1):
-        sl = ranges.slice_k(ranges.u_range(j)[0], ranges.r_range(j)[1])
+        sl = layout.k_slice(layout.u_range(j)[0], layout.r_range(j)[1])
         y1 = centered[:, sl].sum(axis=1)
         sigma_j[j - 1] = np.mean(y1 ** 2) / (2.0 * m)
     s1 = centered.sum(axis=1)
@@ -364,9 +349,8 @@ def degeneracy_probability(model, layout: BlockLayout, R: int,
     variances are deterministic, so the frequency is the 0/1 indicator."""
     if R < 1000:
         raise PreconditionError("degeneracy_probability needs R >= 1000")
+    mode = block_mode(model, layout.m, mode)
     threshold = threshold_factor * _projected_longrun(model, layout.m, seed)
-    if mode == "auto":
-        mode = "exact" if isinstance(model, LinearModel) else "nested-mc"
     if mode == "exact":
         diag = conditional_variances(model, layout, mode="exact")
         return float(diag.sigma_given_m <= threshold)

@@ -24,13 +24,19 @@ import numpy as np
 
 from . import __version__
 from .bedistance import (
+    _is_gaussian_linear,
     empirical_delta,
     exact_delta_gaussian_linear,
-    gaussian_linear_delta_from_model,
 )
-from .blocks import conditional_variances, degeneracy_probability, make_layout
+from .blocks import (
+    block_mode,
+    conditional_variances,
+    degeneracy_probability,
+    make_layout,
+)
 from .dependence import (
     AssumptionSpec,
+    _window_depth,
     check_assumptions,
     dependence_profile,
     profile_closed_form,
@@ -38,6 +44,7 @@ from .dependence import (
 from .errors import (
     ConfigError,
     DegenerateVarianceError,
+    ModelMismatchError,
     PreconditionError,
     WeakdepError,
 )
@@ -52,9 +59,10 @@ from .processes import (
     LinearModel,
     PowerLawScheme,
 )
-from .rates import fit_rate
+from .rates import _grid_point, fit_rate
 from .variance import (
     VarianceReport,
+    _autocov_method,
     autocovariance,
     longrun_variance,
     sigma_hat_m,
@@ -69,6 +77,13 @@ EXIT_DEGENERATE = 4
 
 TASKS = ("depcoef", "variance", "bedist", "rate", "blocks",
          "counterexample", "assumptions")
+
+# params a task reads without a default
+_REQUIRED_PARAMS = {"rate": ("n_grid",), "counterexample": ("n_grid",),
+                    "bedist": ("n",), "blocks": ("n", "m")}
+
+_DEFAULT_L_GRIDS = {"depcoef": [1, 2, 4, 8, 16, 32, 64],
+                    "assumptions": [1, 2, 4, 8, 16, 32, 64, 128]}
 
 
 # ---------------------------------------------------------------------------
@@ -156,25 +171,35 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        """Fail-fast: build the model and check task parameters against
-        module preconditions before any computation starts."""
-        build_model(self.model_spec)  # raises ConfigError / module errors
+        """Fail-fast: build the model and check the task parameters and the
+        model's support for the task against module preconditions before
+        any computation starts.  A model the task cannot run is a
+        precondition violation (exit 3), never a runtime failure."""
         p = self.params
+        missing = [k for k in _REQUIRED_PARAMS.get(self.task, ())
+                   if k not in p]
+        if missing:
+            raise ConfigError(f"task {self.task!r} needs params {missing}")
+        model = build_model(self.model_spec)  # raises ConfigError / module errors
         if self.task in ("rate", "counterexample"):
-            grid = p.get("n_grid")
-            if grid is not None:
-                g = list(grid)
-                if len(g) < 4 or any(g[i + 1] != 2 * g[i]
-                                     for i in range(len(g) - 1)):
-                    raise PreconditionError(
-                        "params.n_grid must be dyadic with >= 4 points")
+            g = list(p["n_grid"])
+            if len(g) < 4 or any(g[i + 1] != 2 * g[i]
+                                 for i in range(len(g) - 1)):
+                raise PreconditionError(
+                    "params.n_grid must be dyadic with >= 4 points")
         if self.task == "assumptions":
             # constructing the spec enforces b > B(p)
             AssumptionSpec(p=float(p.get("p", 3.0)),
                            a_exp=float(p.get("a", 1.0)),
                            b_exp=float(p.get("b", 1.0)))
         if self.task == "blocks":
-            make_layout(int(p.get("n", 0)), int(p.get("m", 1)))
+            make_layout(int(p["n"]), int(p["m"]))
+        try:
+            _check_support(self.task, model, p)
+        except ModelMismatchError as exc:
+            raise PreconditionError(
+                f"task {self.task!r} cannot run model "
+                f"{self.model_spec['variant']!r}: {exc}") from None
 
     def canonical(self) -> str:
         doc = {"name": self.name, "seed": self.seed,
@@ -184,6 +209,35 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
+
+
+def _l_grid(task: str, params: dict) -> list[int]:
+    return [int(l) for l in params.get("l_grid", _DEFAULT_L_GRIDS[task])]
+
+
+def _closed_form_profile(model, params: dict) -> bool:
+    return params.get("mode") == "closed-form" \
+        and isinstance(model, LinearModel)
+
+
+def _check_support(task: str, model, params: dict):
+    """What the task's runner needs of the model: coupled windows deep
+    enough for every lag, an autocovariance method, a block route, or an
+    exactly normal S_n."""
+    if task == "depcoef" or (task == "assumptions"
+                             and not _closed_form_profile(model, params)):
+        for l in _l_grid(task, params):
+            _window_depth(model, l)
+    elif task == "variance":
+        _autocov_method(model, params.get("method", "auto"))
+    elif task == "blocks":
+        block_mode(model, int(params["m"]), params.get("mode", "auto"))
+    elif task == "counterexample" or (task == "rate"
+                                      and params.get("method")
+                                      == "closed-form"):
+        if not _is_gaussian_linear(model):
+            raise ModelMismatchError(
+                f"the {task} task needs a Gaussian linear model")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -331,23 +385,11 @@ def _grid_estimates(model, grid, R, normalization, seed, threads,
     """Per-grid-point estimates with disjoint replication ranges; thread
     scheduling cannot change results because point i always owns
     replications [i*R, (i+1)*R) and the merge is by index."""
-    closed = (method == "closed-form"
-              or (method == "auto" and isinstance(model, LinearModel)
-                  and model.law.kind == "standard-gaussian"))
-
-    def one(i_n):
-        i, n = i_n
-        if closed:
-            return gaussian_linear_delta_from_model(model, n, normalization,
-                                                    seed=seed)
-        return empirical_delta(model, n, R, normalization, seed=seed,
-                               rep_start=i * R, delta_conf=delta_conf)
-
-    items = list(enumerate(grid))
+    point = _grid_point(model, R, normalization, seed, delta_conf, method)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, items))
-    return [one(it) for it in items]
+            return list(pool.map(point, range(len(grid)), grid))
+    return list(map(point, range(len(grid)), grid))
 
 
 def _task_rate(cfg, model, writer):
@@ -376,10 +418,6 @@ def _task_rate(cfg, model, writer):
 def _task_counterexample(cfg, model, writer):
     """Both normalizations of the slow-rate construction: closed-form
     decay under sqrt(n ss^2), exact zero under sqrt(E S_n^2)."""
-    if not (isinstance(model, LinearModel)
-            and model.law.kind == "standard-gaussian"):
-        raise PreconditionError(
-            "counterexample task needs a Gaussian linear model")
     grid = [int(n) for n in cfg.params["n_grid"]]
     ests_ss = [exact_delta_gaussian_linear(model.scheme, n, "sqrt-n-ss2",
                                            seed=cfg.seed) for n in grid]
@@ -409,8 +447,8 @@ def _task_bedist(cfg, model, writer):
 
 def _task_depcoef(cfg, model, writer):
     p = cfg.params
-    grid = [int(l) for l in p.get("l_grid", [1, 2, 4, 8, 16, 32, 64])]
-    prof = dependence_profile(model, float(p.get("p", 2.0)), grid,
+    prof = dependence_profile(model, float(p.get("p", 2.0)),
+                              _l_grid("depcoef", p),
                               int(p.get("R", 20000)), seed=cfg.seed)
     rows = [[e.l, f"{e.theta_prime:.12g}", f"{e.theta_star:.12g}",
              f"{e.se_prime:.12g}", f"{e.se_star:.12g}"]
@@ -487,9 +525,8 @@ def _task_assumptions(cfg, model, writer):
     spec = AssumptionSpec(p=float(p.get("p", 3.0)),
                           a_exp=float(p.get("a", 1.0)),
                           b_exp=float(p.get("b", 1.0)))
-    grid = [int(l) for l in p.get("l_grid",
-                                  [1, 2, 4, 8, 16, 32, 64, 128])]
-    if p.get("mode") == "closed-form" and isinstance(model, LinearModel):
+    grid = _l_grid("assumptions", p)
+    if _closed_form_profile(model, p):
         prof = profile_closed_form(model.scheme, grid)
     else:
         prof = dependence_profile(model, spec.p, grid,

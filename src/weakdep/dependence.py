@@ -10,22 +10,13 @@ fits — they are verdicts about fits, never proofs about infinite sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import ModelMismatchError, PreconditionError
 from .innovations import SERIES_BASE, SERIES_PRIME, law_values
-from .processes import (
-    CoefficientScheme,
-    DoublingModel,
-    DoublingProjectedModel,
-    GLdWalkModel,
-    HolderOfLinearModel,
-    LinearModel,
-    _gl_draws,
-    _gl_start,
-    _gl_step,
-)
+from .processes import CoefficientScheme, GLdWalkModel
 from .rates import loglog_wls
 
 __all__ = [
@@ -89,12 +80,13 @@ class DependenceProfile:
 
 
 def _window_depth(model, l: int) -> int:
-    if isinstance(model, DoublingModel):
-        depth = model.depth
-    elif isinstance(model, DoublingProjectedModel):
-        depth = model.m
-    else:
-        depth = min(model.scheme.length, max(4 * (l + 1), 256))
+    """Depth of the coupled windows for lag l: the model's own depth, with
+    long linear schemes cut at max(4(l + 1), 256) innovations."""
+    if not hasattr(model, "evaluate_values"):
+        raise ModelMismatchError(
+            f"{type(model).__name__} has no window readout to couple; "
+            "the GL_d walk has theta_gl_surrogate")
+    depth = min(model.required_depth, max(4 * (l + 1), 256))
     if l >= depth:
         raise PreconditionError(
             f"lag {l} outside evaluation window of depth {depth}; "
@@ -117,20 +109,13 @@ def theta_mc(model, l: int, p: float, R: int, seed: int = 0,
     """Monte Carlo theta'_l(p), theta*_l(p) from coupled windows: the base
     and filtered evaluations share every innovation except the substituted
     ones, so the difference isolates the dependence on lag l."""
-    if isinstance(model, GLdWalkModel):
-        raise ModelMismatchError(
-            "GL_d walk has no window coupling; use theta_gl_surrogate")
-    if not isinstance(model, (LinearModel, HolderOfLinearModel,
-                              DoublingModel, DoublingProjectedModel)):
-        raise ModelMismatchError(
-            f"theta_mc unsupported for {type(model).__name__}")
+    depth = _window_depth(model, l)
     if l < 0:
         raise PreconditionError("lag must be >= 0")
     if R < 1000:
         raise PreconditionError("theta_mc needs R >= 1000")
     if p < 1:
         raise PreconditionError("p must be >= 1")
-    depth = _window_depth(model, l)
     reps = (rep_start + np.arange(R))[:, None]
     times = l - np.arange(depth)  # window anchored at k = l
     base = law_values(model.law, seed, reps, SERIES_BASE, times)
@@ -167,15 +152,13 @@ def theta_gl_surrogate(model: GLdWalkModel, k: int, p: float, R: int,
         raise ModelMismatchError("theta_gl_surrogate needs a GL_d walk")
     if k == 0:
         return 0.0, 0.0
-    reps = np.arange(R)
+    # every probe chain runs on the same matrices: (pairs, 2, R, d) starts
+    pairs = np.array(_gl_probe_pairs(model.d))[:, :, None, :]
+    start = np.broadcast_to(pairs, pairs.shape[:2] + (R, model.d))
+    gains = next(islice(model.log_gains(seed, np.arange(R), start=start),
+                        k - 1, None))
     best = (-1.0, 0.0)
-    for pair_idx, (sx, sy) in enumerate(_gl_probe_pairs(model.d)):
-        yx = np.tile(sx, (R, 1))
-        yy = np.tile(sy, (R, 1))
-        for t in range(1, k + 1):
-            phi, lam = _gl_draws(model, seed, reps, t, SERIES_BASE)
-            gain_x, yx = _gl_step(model, yx, phi, lam)
-            gain_y, yy = _gl_step(model, yy, phi, lam)
+    for pair_idx, (gain_x, gain_y) in enumerate(gains):
         powers = np.abs(gain_x - gain_y) ** p
         est = float(np.mean(powers) ** (1.0 / p))
         if est > best[0]:

@@ -24,7 +24,7 @@ class DegenerateVarianceError(WeakdepError):
     normalization is unavailable and the E S_n^2 path must be used."""
 
 
-class LayoutError(WeakdepError, ValueError):
+class LayoutError(PreconditionError):
     """No admissible block layout exists for the requested (n, m)."""
 
 

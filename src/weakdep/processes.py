@@ -16,14 +16,20 @@ come with fast vectorized path / partial-sum engines:
   product acting on directions, quenched at a fixed start, centered by a
   reproducible Monte Carlo pre-pass.
 
-``m_project`` builds the m-dependent approximation
-X_{k,m} = E[X_k | eps_k .. eps_{k-m+1}] where it has a usable form.
+Each stateful model has one stepping kernel: ``GLdWalkModel.log_gains``
+for the walk and the integer register loop in ``_paths_matrix`` for the
+doubling map, whose observables live in one table.  ``m_project`` builds
+the m-dependent approximation X_{k,m} = E[X_k | eps_k .. eps_{k-m+1}] for
+the linear and doubling models, the two families where it has a closed
+form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, islice
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -51,7 +57,6 @@ __all__ = [
     "HolderOfLinearModel",
     "DoublingModel",
     "DoublingProjectedModel",
-    "HolderProjectedModel",
     "GLdWalkModel",
     "evaluate",
     "sample_path",
@@ -64,9 +69,8 @@ __all__ = [
 # target element count for chunked replication loops
 _CHUNK_ELEMS = 1 << 22
 
-# reserved channels on the auxiliary series
+# reserved channel on the auxiliary series
 _CH_CENTER = 0
-_CH_TAIL = 16
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +299,6 @@ class LinearModel:
         return values @ self.scheme.coefficients[:J]
 
 
-def _linear_core(model) -> LinearModel:
-    return LinearModel(model.scheme, model.law)
-
-
 _HOLDER_OBSERVABLES = ("cos-shift", "abs-center", "cube-clip")
 
 
@@ -369,21 +369,53 @@ class HolderOfLinearModel:
         return _holder_f(self.observable, self.c, self.beta, y) - self.center
 
 
-_DOUBLING_OBSERVABLES = ("cos2pi", "centered-x", "indicator-half")
 _TWO63 = np.uint64(1) << np.uint64(63)
 
 
-def _doubling_f_from_words(observable: str, w: np.ndarray) -> np.ndarray:
-    """Observable of the doubling-map state held as a 64-bit register
-    (u = w * 2^-64, newest bit at the MSB)."""
-    if observable == "indicator-half":
-        return np.where(w < _TWO63, 0.5, -0.5)
-    u = w * 2.0 ** -64
-    if observable == "cos2pi":
-        return np.cos(2.0 * np.pi * u)
-    if observable == "centered-x":
-        return u - 0.5
-    raise ModelMismatchError(f"unknown observable {observable!r}")
+def _unit(x):
+    """A point of [0, 1) given as floats or as 64-bit register words
+    (u = w * 2^-64, newest bit at the MSB), as floats."""
+    return x * 2.0 ** -64 if x.dtype == np.uint64 else x
+
+
+def _indicator_half(x):
+    # words are compared as integers: w * 2^-64 rounds the words just
+    # below 2^63 up to 1/2
+    return np.where(x < (_TWO63 if x.dtype == np.uint64 else 0.5), 0.5, -0.5)
+
+
+class _DoublingObservable(NamedTuple):
+    f: Callable             # f(x), x floats in [0, 1) or register words
+    cell_mean: Callable     # mean of f over [x, x + h), h = 2^-m
+    modulus: Callable       # L2 change of f over a shift of the state by h
+
+
+_DOUBLING_OBSERVABLES = {
+    "cos2pi": _DoublingObservable(
+        f=lambda x: np.cos(2.0 * np.pi * _unit(x)),
+        cell_mean=lambda x, h: (np.sin(2 * np.pi * (x + h))
+                                - np.sin(2 * np.pi * x)) / (2 * np.pi * h),
+        modulus=lambda h: 2.0 * np.pi * h),
+    "centered-x": _DoublingObservable(
+        f=lambda x: _unit(x) - 0.5,
+        cell_mean=lambda x, h: x + h / 2.0 - 0.5,
+        modulus=lambda h: h),
+    # x and 1/2 are multiples of h, so a cell never straddles 1/2; the
+    # indicator has no Lipschitz constant but obeys w_2(f, t) <= sqrt(t)
+    "indicator-half": _DoublingObservable(
+        f=_indicator_half,
+        cell_mean=lambda x, h: np.where(x + h <= 0.5, 0.5, -0.5),
+        modulus=lambda h: np.sqrt(h)),
+}
+
+
+def _doubling_observable(name: str) -> _DoublingObservable:
+    try:
+        return _DOUBLING_OBSERVABLES[name]
+    except KeyError:
+        raise ModelMismatchError(
+            f"observable must be one of {tuple(_DOUBLING_OBSERVABLES)}"
+        ) from None
 
 
 def _pack_bits(values: np.ndarray, nbits: int) -> np.ndarray:
@@ -394,8 +426,24 @@ def _pack_bits(values: np.ndarray, nbits: int) -> np.ndarray:
     return (bits << shifts).sum(axis=-1, dtype=np.uint64)
 
 
+class _DoublingRegister:
+    """The doubling models hold the newest ``nbits`` innovation bits in an
+    integer register and read X off it with ``register_value``."""
+
+    @property
+    def law(self) -> InnovationLaw:
+        return get_law("raw-bit")
+
+    @property
+    def required_depth(self) -> int:
+        return self.nbits
+
+    def evaluate_values(self, values: np.ndarray) -> np.ndarray:
+        return self.register_value(_pack_bits(values, self.nbits))
+
+
 @dataclass(frozen=True)
-class DoublingModel:
+class DoublingModel(_DoublingRegister):
     """X_k = f(T^k U) with Tx = 2x mod 1 through the binary representation
     T^k U = sum_{j>=0} 2^{-j-1} zeta_{k-j}, truncated at 64 bits."""
 
@@ -405,27 +453,20 @@ class DoublingModel:
     variant = "doubling"
 
     def __post_init__(self):
-        if self.observable not in _DOUBLING_OBSERVABLES:
-            raise ModelMismatchError(
-                f"observable must be one of {_DOUBLING_OBSERVABLES}")
+        _doubling_observable(self.observable)
         if self.depth != 64:
             raise PreconditionError("doubling register depth is fixed at 64")
 
     @property
-    def law(self) -> InnovationLaw:
-        return get_law("raw-bit")
-
-    @property
-    def required_depth(self) -> int:
+    def nbits(self) -> int:
         return self.depth
 
-    def evaluate_values(self, values: np.ndarray) -> np.ndarray:
-        w = _pack_bits(values, 64)
-        return _doubling_f_from_words(self.observable, w)
+    def register_value(self, w):
+        return _DOUBLING_OBSERVABLES[self.observable].f(w)
 
 
 @dataclass(frozen=True)
-class DoublingProjectedModel:
+class DoublingProjectedModel(_DoublingRegister):
     """E[f(T^k U) | top m bits]: the tail is uniform on [0, 2^-m), so the
     conditional mean of each canonical observable is in closed form."""
 
@@ -435,75 +476,17 @@ class DoublingProjectedModel:
     variant = "doubling-projected"
 
     def __post_init__(self):
-        if self.observable not in _DOUBLING_OBSERVABLES:
-            raise ModelMismatchError(
-                f"observable must be one of {_DOUBLING_OBSERVABLES}")
+        _doubling_observable(self.observable)
         if not 1 <= self.m <= 64:
             raise PreconditionError("projection depth must be in 1..64")
 
     @property
-    def law(self) -> InnovationLaw:
-        return get_law("raw-bit")
-
-    @property
-    def required_depth(self) -> int:
+    def nbits(self) -> int:
         return self.m
 
-    def evaluate_values(self, values: np.ndarray) -> np.ndarray:
-        m = self.m
-        wm = _pack_bits(values, m)
-        x = wm * 2.0 ** -m
-        h = 2.0 ** -m
-        if self.observable == "centered-x":
-            return x + h / 2.0 - 0.5
-        if self.observable == "cos2pi":
-            return (np.sin(2 * np.pi * (x + h)) - np.sin(2 * np.pi * x)) \
-                / (2 * np.pi * h)
-        # indicator-half: x and 1/2 are multiples of 2^-m, so the cell
-        # [x, x + 2^-m) never straddles 1/2
-        return np.where(x + h <= 0.5, 0.5, -0.5)
-
-
-@dataclass(frozen=True)
-class HolderProjectedModel:
-    """Nested-Monte-Carlo m-projection of HolderOfLinear: the conditional
-    mean given the last m innovations is averaged over K fresh tail draws
-    from a reserved stream, keyed by the window's (seed, rep, anchor)."""
-
-    base: HolderOfLinearModel
-    m: int
-    K: int = 256
-
-    variant = "holder-projected"
-
-    def __post_init__(self):
-        if self.m < 1 or self.K < 1:
-            raise PreconditionError("m and K must be >= 1")
-
-    @property
-    def law(self) -> InnovationLaw:
-        return self.base.law
-
-    @property
-    def required_depth(self) -> int:
-        return self.m
-
-    def evaluate_window(self, w: InnovationWindow) -> float:
-        scheme = self.base.scheme
-        L = scheme.length
-        m = min(self.m, L)
-        head = float(w.values[:m] @ scheme.coefficients[:m])
-        if m == L:
-            tail_y = np.zeros(self.K)
-        else:
-            times = w.anchor - np.arange(m, L)
-            chans = (_CH_TAIL + np.arange(self.K))[:, None]
-            tail_eps = law_values(self.law, w.seed, w.replication, SERIES_AUX,
-                                  times, channel=chans)
-            tail_y = tail_eps @ scheme.coefficients[m:]
-        f = _holder_f(self.base.observable, self.base.c, self.base.beta,
-                      head + tail_y)
-        return float(np.mean(f)) - self.base.center
+    def register_value(self, w):
+        return _DOUBLING_OBSERVABLES[self.observable].cell_mean(
+            w * 2.0 ** -self.m, 2.0 ** -self.m)
 
 
 @dataclass(frozen=True)
@@ -537,43 +520,45 @@ class GLdWalkModel:
             "GL_d walk is not a fixed-depth Bernoulli shift; "
             "use sample_path/partial_sums")
 
+    def log_gains(self, seed, replications, series=SERIES_BASE, start=None):
+        """The uncentered increments log||g_k y_{k-1}||, one array per step
+        k = 1, 2, ... (an endless generator; the caller stops it).
+
+        (phi_k, lam_k) are keyed by (seed, replication, series, k).
+        ``start`` holds unit start directions of shape
+        (..., len(replications), d); leading axes are chains driven by the
+        same matrices.  The default is the quenched start e1.
+        """
+        reps = np.asarray(replications)
+        if start is None:
+            y = np.zeros((len(reps), self.d))
+            y[:, 0] = 1.0
+        else:
+            y = np.array(start, dtype=np.float64, order="C")
+        flat = y.reshape(-1, self.d)  # a view: y stays C-contiguous
+        for k in count(1):
+            u_phi = (raw_words(seed, reps, series, k, channel=0)
+                     >> np.uint64(11)) * 2.0 ** -53
+            u_lam = (raw_words(seed, reps, series, k, channel=1)
+                     >> np.uint64(11)) * 2.0 ** -53
+            phi = 2.0 * np.pi * u_phi
+            lam = self.lambda_max * (2.0 * u_lam - 1.0)
+            # rotations preserve the norm, so the gain is ||D y||
+            y[..., 0] *= np.exp(lam)
+            y[..., 1] *= np.exp(-lam)
+            norm = np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(
+                y.shape[:-1])
+            y /= norm[..., None]
+            c, s = np.cos(phi), np.sin(phi)
+            y0 = c * y[..., 0] - s * y[..., 1]
+            y1 = s * y[..., 0] + c * y[..., 1]
+            y[..., 0], y[..., 1] = y0, y1
+            yield np.log(norm)
+
 
 # centering profiles, cached per (model, seed); dict ops are atomic under
 # the GIL and values are deterministic, so racing writes are harmless
 _GL_CENTER_CACHE: dict = {}
-
-
-def _gl_draws(model: GLdWalkModel, seed, reps, k, series):
-    """(phi_k, lambda_k) for the given replications at time k."""
-    u_phi = (raw_words(seed, reps, series, k, channel=0)
-             >> np.uint64(11)) * 2.0 ** -53
-    u_lam = (raw_words(seed, reps, series, k, channel=1)
-             >> np.uint64(11)) * 2.0 ** -53
-    phi = 2.0 * np.pi * u_phi
-    lam = model.lambda_max * (2.0 * u_lam - 1.0)
-    return phi, lam
-
-
-def _gl_step(model: GLdWalkModel, y: np.ndarray, phi, lam):
-    """Apply g = R(phi) D(lam) to unit directions y (R, d); returns
-    (log-gain, new unit direction).  Rotations preserve the norm, so the
-    gain is ||D y||."""
-    z = y.copy()
-    z[:, 0] = y[:, 0] * np.exp(lam)
-    z[:, 1] = y[:, 1] * np.exp(-lam)
-    norm = np.sqrt(np.einsum("ij,ij->i", z, z))
-    z /= norm[:, None]
-    c, s = np.cos(phi), np.sin(phi)
-    z0 = c * z[:, 0] - s * z[:, 1]
-    z1 = s * z[:, 0] + c * z[:, 1]
-    z[:, 0], z[:, 1] = z0, z1
-    return np.log(norm), z
-
-
-def _gl_start(model: GLdWalkModel, nreps: int) -> np.ndarray:
-    y = np.zeros((nreps, model.d))
-    y[:, 0] = 1.0
-    return y
 
 
 def _gl2_exact_mean(model: GLdWalkModel) -> float:
@@ -610,17 +595,12 @@ def gl_center_profile(model: GLdWalkModel, seed) -> np.ndarray:
     if model.d == 2:
         mu = np.full(model.burn_in + 1, _gl2_exact_mean(model))
         mu[0] = 0.0
-        mu.setflags(write=False)
-        _GL_CENTER_CACHE[key] = mu
-        return mu
-    reps = np.arange(model.center_reps)
-    y = _gl_start(model, model.center_reps)
-    mu = np.zeros(model.burn_in + 1)
-    for k in range(1, model.burn_in + 1):
-        phi, lam = _gl_draws(model, seed, reps, k, SERIES_AUX)
-        gain, y = _gl_step(model, y, phi, lam)
-        mu[k - 1] = gain.mean()
-    mu[-1] = mu[model.burn_in // 2:model.burn_in].mean()
+    else:
+        gains = model.log_gains(seed, np.arange(model.center_reps),
+                                SERIES_AUX)
+        mu = np.zeros(model.burn_in + 1)
+        mu[:-1] = [g.mean() for g in islice(gains, model.burn_in)]
+        mu[-1] = mu[model.burn_in // 2:model.burn_in].mean()
     mu.setflags(write=False)
     _GL_CENTER_CACHE[key] = mu
     return mu
@@ -640,11 +620,6 @@ def _gl_centering(model: GLdWalkModel, seed, n: int) -> np.ndarray:
 
 def evaluate(model, w: InnovationWindow) -> float:
     """X at the window's anchor time."""
-    if isinstance(model, GLdWalkModel):
-        raise ModelMismatchError("GL_d walk has no window evaluation")
-    if isinstance(model, HolderProjectedModel):
-        _check_window(model, w)
-        return model.evaluate_window(w)
     _check_window(model, w)
     return float(model.evaluate_values(w.values[:model.required_depth]))
 
@@ -668,10 +643,13 @@ def _bn_weights(scheme: CoefficientScheme, n: int) -> tuple[np.ndarray, int]:
     return w, 2 - L
 
 
-def _rep_chunks(reps: np.ndarray, row_len: int):
+def _by_chunks(reps: np.ndarray, row_len: int, fn) -> np.ndarray:
+    """fn over fixed-size replication chunks, concatenated."""
+    out = np.empty(len(reps))
     step = max(1, _CHUNK_ELEMS // max(row_len, 1))
     for i in range(0, len(reps), step):
-        yield reps[i:i + step]
+        out[i:i + step] = fn(reps[i:i + step])
+    return out
 
 
 def partial_sums(model, seed, replications, n: int) -> np.ndarray:
@@ -685,45 +663,29 @@ def partial_sums(model, seed, replications, n: int) -> np.ndarray:
     if isinstance(model, LinearModel):
         w, t0 = _bn_weights(model.scheme, n)
         times = np.arange(t0, n + 1)
-        out = np.empty(len(reps))
-        pos = 0
-        for chunk in _rep_chunks(reps, len(times)):
-            eps = law_values(model.law, seed, chunk[:, None], SERIES_BASE,
-                             times)
-            out[pos:pos + len(chunk)] = eps @ w
-            pos += len(chunk)
-        return out
-
-    if isinstance(model, (HolderOfLinearModel, DoublingModel,
-                          DoublingProjectedModel)):
-        out = np.empty(len(reps))
-        pos = 0
-        for chunk in _rep_chunks(reps, n + model.required_depth):
-            paths = _paths_matrix(model, seed, chunk, n)
-            out[pos:pos + len(chunk)] = paths.sum(axis=1)
-            pos += len(chunk)
-        return out
+        return _by_chunks(reps, len(times), lambda chunk: law_values(
+            model.law, seed, chunk[:, None], SERIES_BASE, times) @ w)
 
     if isinstance(model, GLdWalkModel):
+        # streamed: the walk never materializes its (reps x n) path matrix
         mu_total = _gl_centering(model, seed, n).sum()
-        out = np.empty(len(reps))
-        pos = 0
-        for chunk in _rep_chunks(reps, n * model.d):
-            y = _gl_start(model, len(chunk))
+
+        def walk(chunk):
             acc = np.zeros(len(chunk))
-            for k in range(1, n + 1):
-                phi, lam = _gl_draws(model, seed, chunk, k, SERIES_BASE)
-                gain, y = _gl_step(model, y, phi, lam)
+            for gain in islice(model.log_gains(seed, chunk), n):
                 acc += gain
-            out[pos:pos + len(chunk)] = acc - mu_total
-            pos += len(chunk)
-        return out
+            return acc - mu_total
+        return _by_chunks(reps, n * model.d, walk)
+
+    if isinstance(model, (HolderOfLinearModel, _DoublingRegister)):
+        return _by_chunks(reps, n + model.required_depth, lambda chunk:
+                          _paths_matrix(model, seed, chunk, n).sum(axis=1))
 
     raise ModelMismatchError(f"unsupported model {type(model).__name__}")
 
 
 def _paths_matrix(model, seed, reps: np.ndarray, n: int) -> np.ndarray:
-    """(len(reps), n) matrix of X_1..X_n; helper for stationary models."""
+    """(len(reps), n) matrix of X_1..X_n."""
     if isinstance(model, LinearModel) or isinstance(model, HolderOfLinearModel):
         L = model.scheme.length
         times = np.arange(2 - L, n + 1)
@@ -737,8 +699,9 @@ def _paths_matrix(model, seed, reps: np.ndarray, n: int) -> np.ndarray:
             return y
         return _holder_f(model.observable, model.c, model.beta, y) - model.center
 
-    if isinstance(model, (DoublingModel, DoublingProjectedModel)):
-        nbits = 64 if isinstance(model, DoublingModel) else model.m
+    out = np.empty((len(reps), n))
+    if isinstance(model, _DoublingRegister):
+        nbits = model.nbits
         col = reps[:, None]
         # seed the register with the pre-sample bits
         init_times = 1 - nbits + np.arange(nbits)
@@ -746,27 +709,18 @@ def _paths_matrix(model, seed, reps: np.ndarray, n: int) -> np.ndarray:
         bits = (words >> np.uint64(63)).astype(np.float64)
         w = _pack_bits(bits[:, ::-1], nbits)
         shift_in = np.uint64(nbits - 1)
-        out = np.empty((len(reps), n))
-        if isinstance(model, DoublingModel):
-            f = lambda reg: _doubling_f_from_words(model.observable, reg)
-        else:
-            proj = model
-
-            def f(reg):
-                x = reg * 2.0 ** -nbits
-                h = 2.0 ** -nbits
-                if proj.observable == "centered-x":
-                    return x + h / 2.0 - 0.5
-                if proj.observable == "cos2pi":
-                    return (np.sin(2 * np.pi * (x + h))
-                            - np.sin(2 * np.pi * x)) / (2 * np.pi * h)
-                return np.where(x + h <= 0.5, 0.5, -0.5)
         mask = (np.uint64(1) << np.uint64(nbits)) - np.uint64(1) \
             if nbits < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
         for k in range(1, n + 1):
             bit = raw_words(seed, reps, SERIES_BASE, k) >> np.uint64(63)
             w = ((w >> np.uint64(1)) | (bit << shift_in)) & mask
-            out[:, k - 1] = f(w)
+            out[:, k - 1] = model.register_value(w)
+        return out
+
+    if isinstance(model, GLdWalkModel):
+        mu = _gl_centering(model, seed, n)
+        for k, gain in enumerate(islice(model.log_gains(seed, reps), n)):
+            out[:, k] = gain - mu[k]
         return out
 
     raise ModelMismatchError(f"no path matrix for {type(model).__name__}")
@@ -776,33 +730,7 @@ def sample_path(model, seed, replication, n: int) -> np.ndarray:
     """X_1..X_n for one replication; entries equal window evaluations."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    if isinstance(model, GLdWalkModel):
-        rep = np.array([replication], dtype=np.int64)
-        y = _gl_start(model, 1)
-        path = np.empty(n)
-        for k in range(1, n + 1):
-            phi, lam = _gl_draws(model, seed, rep, k, SERIES_BASE)
-            gain, y = _gl_step(model, y, phi, lam)
-            path[k - 1] = gain[0]
-        return path - _gl_centering(model, seed, n)
-    if isinstance(model, HolderProjectedModel):
-        from .innovations import draw_window
-        out = np.empty(n)
-        for k in range(1, n + 1):
-            w = draw_window(model.law, seed, replication, k,
-                            model.required_depth)
-            out[k - 1] = model.evaluate_window(w)
-        return out
     return _paths_matrix(model, seed, np.asarray([replication]), n)[0]
-
-
-_DOUBLING_SCALE = {
-    # L2-scale of f over one register step: Lipschitz constants where they
-    # exist; indicator-half instead obeys w_2(f, t) <= sqrt(t)
-    "cos2pi": ("lipschitz", 2.0 * np.pi),
-    "centered-x": ("lipschitz", 1.0),
-    "indicator-half": ("sqrt-modulus", 1.0),
-}
 
 
 def truncation_error(model, J: int) -> float:
@@ -815,16 +743,15 @@ def truncation_error(model, J: int) -> float:
         # ||f(Y) - f(Y_J)||_2 <= c E[|D|^{2 beta}]^{1/2} <= c (E D^2)^{beta/2}
         return float(model.c * model.scheme.tail_sumsq(J) ** (model.beta / 2))
     if isinstance(model, DoublingModel):
-        kind, const = _DOUBLING_SCALE[model.observable]
-        if kind == "lipschitz":
-            return float(const * 2.0 ** -J)
-        return float(const * np.sqrt(2.0 ** -J))
+        # truncating J bits moves the state by less than 2^-J
+        return float(_DOUBLING_OBSERVABLES[model.observable].modulus(2.0 ** -J))
     raise ModelMismatchError(
         f"truncation_error unsupported for {type(model).__name__}")
 
 
-def m_project(model, m: int, K: int = 256):
-    """The m-dependent approximation X_{k,m} = E[X_k | eps_k..eps_{k-m+1}]."""
+def m_project(model, m: int):
+    """The m-dependent approximation X_{k,m} = E[X_k | eps_k..eps_{k-m+1}],
+    available in closed form for the linear and doubling models."""
     if m < 1:
         raise PreconditionError("m must be >= 1")
     if isinstance(model, LinearModel):
@@ -835,9 +762,5 @@ def m_project(model, m: int, K: int = 256):
         if m >= model.depth:
             return model
         return DoublingProjectedModel(model.observable, m)
-    if isinstance(model, HolderOfLinearModel):
-        if m >= model.scheme.length:
-            return model
-        return HolderProjectedModel(model, m, K)
     raise ModelMismatchError(
         f"m_project unsupported for {type(model).__name__}")

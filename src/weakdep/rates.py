@@ -6,9 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bedistance import BEEstimate, empirical_delta, gaussian_linear_delta_from_model
+from .bedistance import (
+    BEEstimate,
+    _is_gaussian_linear,
+    empirical_delta,
+    gaussian_linear_delta_from_model,
+)
 from .errors import PreconditionError
-from .processes import LinearModel
 
 __all__ = ["RateFit", "run_rate_experiment", "fit_rate", "loglog_wls"]
 
@@ -34,6 +38,21 @@ def _is_dyadic(grid) -> bool:
     return np.all(g[1:] == 2 * g[:-1])
 
 
+def _grid_point(model, R: int, normalization: str, seed: int,
+                delta_conf: float, method: str):
+    """The estimator (i, n) -> BEEstimate of grid point i: the
+    Gaussian-linear closed form when ``method`` selects it ('auto' does
+    where it is available), else Monte Carlo over the point's own
+    replication range [i*R, (i+1)*R)."""
+    if method == "closed-form" or (method == "auto"
+                                   and _is_gaussian_linear(model)):
+        return lambda i, n: gaussian_linear_delta_from_model(
+            model, n, normalization, seed=seed)
+    return lambda i, n: empirical_delta(model, n, R, normalization,
+                                        seed=seed, rep_start=i * R,
+                                        delta_conf=delta_conf)
+
+
 def run_rate_experiment(model, n_grid, R: int, normalization: str,
                         seed: int = 0, delta_conf: float = 0.01,
                         method: str = "auto") -> list[BEEstimate]:
@@ -45,19 +64,8 @@ def run_rate_experiment(model, n_grid, R: int, normalization: str,
         raise PreconditionError("rate experiments need >= 4 grid points")
     if not _is_dyadic(grid):
         raise PreconditionError("n-grid must be dyadic (each n doubling)")
-    closed = (method == "closed-form"
-              or (method == "auto" and isinstance(model, LinearModel)
-                  and model.law.kind == "standard-gaussian"))
-    out = []
-    for i, n in enumerate(grid):
-        if closed:
-            out.append(gaussian_linear_delta_from_model(
-                model, n, normalization, seed=seed))
-        else:
-            out.append(empirical_delta(model, n, R, normalization, seed=seed,
-                                       rep_start=i * R,
-                                       delta_conf=delta_conf))
-    return out
+    point = _grid_point(model, R, normalization, seed, delta_conf, method)
+    return [point(i, n) for i, n in enumerate(grid)]
 
 
 def loglog_wls(x: np.ndarray, y: np.ndarray, w: np.ndarray):

@@ -24,9 +24,9 @@ from .errors import (
 from .processes import (
     CoefficientScheme,
     DoublingModel,
-    GLdWalkModel,
     LinearModel,
     PowerLawScheme,
+    _DOUBLING_OBSERVABLES,
     _bn_weights,
     _paths_matrix,
     partial_sums,
@@ -90,20 +90,12 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-def _doubling_f(observable: str, x: np.ndarray) -> np.ndarray:
-    if observable == "cos2pi":
-        return np.cos(2.0 * np.pi * x)
-    if observable == "centered-x":
-        return x - 0.5
-    return np.where(x < 0.5, 0.5, -0.5)
-
-
 def _exact_doubling_gamma(model: DoublingModel, K: int) -> np.ndarray:
     """gamma(k) = int_0^1 f(x) f(2^k x mod 1) dx by per-cell quadrature,
     each dyadic cell split at its midpoint (where 2^k x mod 1 crosses 1/2)."""
     if K > 24:
         raise PreconditionError("exact-doubling lag cap is 24")
-    f = lambda x: _doubling_f(model.observable, x)
+    f = _DOUBLING_OBSERVABLES[model.observable].f
     # u-nodes covering [0, 1] as two half-cells
     u = np.concatenate([0.5 * _GL_NODES, 0.5 + 0.5 * _GL_NODES])
     wq = np.concatenate([0.5 * _GL_WEIGHTS, 0.5 * _GL_WEIGHTS])
@@ -124,21 +116,7 @@ def _exact_doubling_gamma(model: DoublingModel, K: int) -> np.ndarray:
 
 def _mc_gamma(model, K: int, R: int, seed) -> tuple[np.ndarray, np.ndarray]:
     T = max(2 * K, 64)
-    n = T + K
-    if isinstance(model, GLdWalkModel):
-        from .processes import _gl_centering, _gl_start, _gl_draws, _gl_step
-        from .innovations import SERIES_BASE
-        mu = _gl_centering(model, seed, n)
-        reps = _VAR_REP_OFFSET + np.arange(R)
-        y = _gl_start(model, R)
-        paths = np.empty((R, n))
-        for k in range(1, n + 1):
-            phi, lam = _gl_draws(model, seed, reps, k, SERIES_BASE)
-            gain, y = _gl_step(model, y, phi, lam)
-            paths[:, k - 1] = gain - mu[k - 1]
-    else:
-        reps = _VAR_REP_OFFSET + np.arange(R)
-        paths = _paths_matrix(model, seed, reps, n)
+    paths = _paths_matrix(model, seed, _VAR_REP_OFFSET + np.arange(R), T + K)
     g = np.empty(K + 1)
     se = np.empty(K + 1)
     for k in range(K + 1):
@@ -147,6 +125,28 @@ def _mc_gamma(model, K: int, R: int, seed) -> tuple[np.ndarray, np.ndarray]:
         g[k] = per_rep.mean()
         se[k] = per_rep.std(ddof=1) / np.sqrt(R)
     return g, se
+
+
+# exact autocovariance methods: the model family each needs, its oracle
+_EXACT_GAMMA = {"exact-linear": (LinearModel, _exact_linear_gamma),
+                "exact-doubling": (DoublingModel, _exact_doubling_gamma)}
+
+
+def _autocov_method(model, method: str = "auto") -> str:
+    """The autocovariance method for ``model``: 'auto' picks the exact
+    method of the model's family, else 'monte-carlo'.  Raises
+    ModelMismatchError for an exact method of another family."""
+    if method == "auto":
+        return next((name for name, (family, _) in _EXACT_GAMMA.items()
+                     if isinstance(model, family)), "monte-carlo")
+    if method in _EXACT_GAMMA:
+        family = _EXACT_GAMMA[method][0]
+        if not isinstance(model, family):
+            raise ModelMismatchError(
+                f"{method} requires a {family.__name__}")
+    elif method != "monte-carlo":
+        raise PreconditionError(f"unknown method {method!r}")
+    return method
 
 
 def autocovariance(model, K: int, method: str = "auto", R: int = 4096,
@@ -159,28 +159,11 @@ def autocovariance(model, K: int, method: str = "auto", R: int = 4096,
     """
     if K < 1:
         raise PreconditionError("K must be >= 1")
-    if method == "auto":
-        if isinstance(model, LinearModel):
-            method = "exact-linear"
-        elif isinstance(model, DoublingModel):
-            method = "exact-doubling"
-        else:
-            method = "monte-carlo"
-    if method == "exact-linear":
-        if not isinstance(model, LinearModel):
-            raise ModelMismatchError("exact-linear requires a linear model")
-        g = _exact_linear_gamma(model, K)
-        se = np.zeros(K + 1)
-    elif method == "exact-doubling":
-        if not isinstance(model, DoublingModel):
-            raise ModelMismatchError(
-                "exact-doubling requires a doubling-map model")
-        g = _exact_doubling_gamma(model, K)
-        se = np.zeros(K + 1)
-    elif method == "monte-carlo":
+    method = _autocov_method(model, method)
+    if method == "monte-carlo":
         g, se = _mc_gamma(model, K, R, seed)
     else:
-        raise PreconditionError(f"unknown method {method!r}")
+        g, se = _EXACT_GAMMA[method][1](model, K), np.zeros(K + 1)
     return AutocovarianceTable(gamma=g, stderr=se, method=method, model=model)
 
 

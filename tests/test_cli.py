@@ -172,3 +172,63 @@ def test_config_requires_fields():
         ExperimentConfig.from_dict({"name": "x"})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({**BASE, "seed": "zero"})
+
+
+# every model variant x task: small parameters, so each cell can be run
+CELL_MODELS = {
+    "linear": BASE["model"],
+    "holder": {"variant": "holder", "law": "standard-gaussian",
+               "scheme": {"variant": "geometric", "rho": 0.5,
+                          "length": 32}},
+    "doubling": {"variant": "doubling", "observable": "cos2pi"},
+    "gl-walk": {"variant": "gl-walk", "d": 2},
+}
+CELL_PARAMS = {
+    "depcoef": {"l_grid": [1, 2], "R": 1000},
+    "variance": {"K": 4, "n": 16, "m": 2, "R": 256},
+    "bedist": {"n": 16, "R": 1000, "normalization": "sqrt-ESn2"},
+    "rate": {"n_grid": [2, 4, 8, 16], "R": 1000,
+             "normalization": "sqrt-ESn2"},
+    "blocks": {"n": 14, "m": 2, "K": 16},
+    "counterexample": {"n_grid": [4, 8, 16, 32]},
+    "assumptions": {"l_grid": [1, 2, 3, 4, 5, 6, 7, 8], "R": 1000},
+}
+# the cells without the capability their task needs: a window readout
+# (depcoef, assumptions), an m-projection (blocks), or an exactly normal
+# partial sum (counterexample)
+UNSUPPORTED = {("gl-walk", "depcoef"), ("gl-walk", "assumptions"),
+               ("holder", "blocks"), ("gl-walk", "blocks"),
+               ("holder", "counterexample"), ("doubling", "counterexample"),
+               ("gl-walk", "counterexample")}
+
+
+@pytest.mark.parametrize("task", list(CELL_PARAMS))
+@pytest.mark.parametrize("variant", list(CELL_MODELS))
+def test_validate_agrees_with_run(tmp_path, variant, task):
+    doc = {"name": "cell", "seed": 3, "model": CELL_MODELS[variant],
+           "task": task, "params": CELL_PARAMS[task]}
+    path = _write(tmp_path, doc)
+    expected = EXIT_PRECONDITION if (variant, task) in UNSUPPORTED \
+        else EXIT_OK
+    assert main(["validate", path]) == expected
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == expected
+
+
+@pytest.mark.parametrize("task, params", [
+    # the doubling register is 64 bits deep; the default grid reaches 64
+    ("depcoef", {}),
+    ("variance", {"K": 4, "n": 16, "m": 2, "method": "exact-linear"}),
+])
+def test_validate_rejects_params_the_model_cannot_serve(tmp_path, task,
+                                                        params):
+    doc = {**BASE, "model": CELL_MODELS["doubling"], "task": task,
+           "params": params}
+    assert main(["validate", _write(tmp_path, doc)]) == EXIT_PRECONDITION
+
+
+def test_validate_block_params(tmp_path):
+    doc = {**BASE, "task": "blocks", "params": {"n": 48}}
+    assert main(["validate", _write(tmp_path, doc)]) == EXIT_PARSE
+    # no layout 2(N-1)m + m' = 12 with m/2 <= m' <= m exists for m = 2
+    doc["params"] = {"n": 12, "m": 2}
+    assert main(["validate", _write(tmp_path, doc)]) == EXIT_PRECONDITION
