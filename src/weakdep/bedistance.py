@@ -17,9 +17,10 @@ from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
 from .errors import DegenerateVarianceError, ModelMismatchError, PreconditionError
-from .processes import CoefficientScheme, LinearModel, partial_sums
+from .processes import CoefficientScheme, partial_sums
 from .variance import (
     DEGENERACY_THRESHOLD,
+    _autocov_method,
     exact_sum_variance_linear,
     model_longrun_variance,
     sum_variance,
@@ -152,11 +153,11 @@ def exact_delta_gaussian_linear(scheme: CoefficientScheme, n: int,
 
 def _is_gaussian_linear(model) -> bool:
     """Whether S_n is exactly normal, so Delta_n has a closed form."""
-    return (isinstance(model, LinearModel)
+    return (_autocov_method(model) == "exact-linear"
             and model.law.kind == "standard-gaussian")
 
 
-def gaussian_linear_delta_from_model(model: LinearModel, n: int,
+def gaussian_linear_delta_from_model(model, n: int,
                                      normalization: str,
                                      seed: int = 0) -> BEEstimate:
     if not _is_gaussian_linear(model):

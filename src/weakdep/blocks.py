@@ -12,9 +12,10 @@ For the m-projected linear model everything is a linear form in the
 innovations, so conditional expectations are exact coefficient sums: an
 innovation in an odd ("primed-away") block contributes zero to E_{F_m},
 and sigma_{j|m}^2 is the sum of squared weights of the odd-block
-innovations feeding block pair j.  The doubling map uses nested Monte
-Carlo over its closed-form m-projection; models without an m-projection
-(Hoelder functionals, the GL_d walk) are rejected.
+innovations feeding block pair j.  Every other model with an
+``m_project`` capability (see the table in ``weakdep.processes``) uses
+nested Monte Carlo over its closed-form m-projection; the rest are
+rejected.
 """
 
 from __future__ import annotations
@@ -30,12 +31,8 @@ from .errors import (
     PreconditionError,
 )
 from .innovations import SERIES_AUX, SERIES_BASE, law_values
-from .processes import (
-    DoublingModel,
-    LinearModel,
-    m_project,
-)
-from .variance import autocovariance, longrun_variance
+from .processes import m_project
+from .variance import _autocov_method, autocovariance, longrun_variance
 
 __all__ = [
     "BlockLayout",
@@ -112,27 +109,19 @@ class _LinearBlocks:
     """Exact coefficient structure of the m-projected linear model on a
     layout; every conditional quantity is a weighted sum of innovations."""
 
-    def __init__(self, model: LinearModel, layout: BlockLayout):
+    def __init__(self, model, layout: BlockLayout):
         self.layout = layout
-        scheme_m = m_project(model, layout.m).scheme
-        self.model = LinearModel(scheme_m, model.law)
-        m, n = layout.m, layout.n
-        self.depth = scheme_m.length  # <= m
-        C = scheme_m.cumsum
-        self._C = C
-        self.t = np.arange(1 - m, n + 1)
-        self.observed = _is_observed(self.t, m)
-
-    def _C_at(self, s: np.ndarray) -> np.ndarray:
-        s = np.minimum(s, self.depth - 1)
-        return np.where(s >= 0, self._C[np.clip(s, 0, self.depth - 1)], 0.0)
+        self.model = m_project(model, layout.m)
+        self.depth = self.model.scheme.length  # <= m
+        self.t = np.arange(1 - layout.m, layout.n + 1)
+        self.observed = _is_observed(self.t, layout.m)
 
     def range_weights(self, klo: int, khi: int) -> np.ndarray:
         """Weight of eps_t in sum_{k=klo..khi} X_{km}, over self.t."""
         khi = min(khi, self.layout.n)
         if khi < klo:
             return np.zeros_like(self.t, dtype=float)
-        return self._C_at(khi - self.t) - self._C_at(klo - 1 - self.t)
+        return self.model.scheme.sum_weights(klo, khi, self.t)
 
     def sigma_j_given_m(self) -> np.ndarray:
         """Conditional variances sigma_{j|m}^2 — deterministic: the
@@ -173,10 +162,11 @@ def block_mode(model, m: int, mode: str = "auto") -> str:
     models; what 'auto' picks for them) or 'nested-mc' over the
     m-projection (what 'auto' picks otherwise).  Raises ModelMismatchError
     when the model does not support the route."""
+    linear = _autocov_method(model) == "exact-linear"
     if mode == "auto":
-        mode = "exact" if isinstance(model, LinearModel) else "nested-mc"
+        mode = "exact" if linear else "nested-mc"
     if mode == "exact":
-        if not isinstance(model, LinearModel):
+        if not linear:
             raise ModelMismatchError(
                 "exact block mode is available for linear models only")
     elif mode == "nested-mc":
@@ -330,13 +320,11 @@ def conditional_variances(model, layout: BlockLayout, replication: int = 0,
 
 def _projected_longrun(model, m: int, seed: int) -> float:
     proj = m_project(model, m)
-    if isinstance(proj, LinearModel):
+    method = _autocov_method(proj)
+    if method == "exact-linear":
         return float(proj.scheme.total_sum() ** 2)
-    if isinstance(proj, DoublingModel):
-        return longrun_variance(
-            autocovariance(proj, K=20, method="exact-doubling")).value
-    table = autocovariance(proj, K=max(8, 2 * m), method="monte-carlo",
-                           seed=seed)
+    K = max(8, 2 * m) if method == "monte-carlo" else 20
+    table = autocovariance(proj, K=K, method=method, seed=seed)
     return longrun_variance(table).value
 
 

@@ -180,21 +180,21 @@ class ExperimentConfig:
                    if k not in p]
         if missing:
             raise ConfigError(f"task {self.task!r} needs params {missing}")
-        model = build_model(self.model_spec)  # raises ConfigError / module errors
-        if self.task in ("rate", "counterexample"):
-            g = list(p["n_grid"])
-            if len(g) < 4 or any(g[i + 1] != 2 * g[i]
-                                 for i in range(len(g) - 1)):
-                raise PreconditionError(
-                    "params.n_grid must be dyadic with >= 4 points")
-        if self.task == "assumptions":
-            # constructing the spec enforces b > B(p)
-            AssumptionSpec(p=float(p.get("p", 3.0)),
-                           a_exp=float(p.get("a", 1.0)),
-                           b_exp=float(p.get("b", 1.0)))
-        if self.task == "blocks":
-            make_layout(int(p["n"]), int(p["m"]))
         try:
+            model = build_model(self.model_spec)
+            if self.task in ("rate", "counterexample"):
+                g = list(p["n_grid"])
+                if len(g) < 4 or any(g[i + 1] != 2 * g[i]
+                                     for i in range(len(g) - 1)):
+                    raise PreconditionError(
+                        "params.n_grid must be dyadic with >= 4 points")
+            if self.task == "assumptions":
+                # constructing the spec enforces b > B(p)
+                AssumptionSpec(p=float(p.get("p", 3.0)),
+                               a_exp=float(p.get("a", 1.0)),
+                               b_exp=float(p.get("b", 1.0)))
+            if self.task == "blocks":
+                make_layout(int(p["n"]), int(p["m"]))
             _check_support(self.task, model, p)
         except ModelMismatchError as exc:
             raise PreconditionError(
@@ -202,9 +202,11 @@ class ExperimentConfig:
                 f"{self.model_spec['variant']!r}: {exc}") from None
 
     def canonical(self) -> str:
+        # results do not depend on the thread count, so neither does
+        # the digest that identifies them
         doc = {"name": self.name, "seed": self.seed,
                "model": self.model_spec, "task": self.task,
-               "params": self.params, "threads": self.threads}
+               "params": self.params}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
@@ -217,7 +219,7 @@ def _l_grid(task: str, params: dict) -> list[int]:
 
 def _closed_form_profile(model, params: dict) -> bool:
     return params.get("mode") == "closed-form" \
-        and isinstance(model, LinearModel)
+        and _autocov_method(model) == "exact-linear"
 
 
 def _check_support(task: str, model, params: dict):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ModelMismatchError, PreconditionError
 from .innovations import SERIES_BASE, SERIES_PRIME, law_values
-from .processes import CoefficientScheme, GLdWalkModel
+from .processes import CoefficientScheme
 from .rates import loglog_wls
 
 __all__ = [
@@ -143,12 +143,13 @@ def _gl_probe_pairs(d: int):
     return ((e1, e2), (e1, s * (e1 + e2)), (e2, s * (e1 - e2)))
 
 
-def theta_gl_surrogate(model: GLdWalkModel, k: int, p: float, R: int,
+def theta_gl_surrogate(model, k: int, p: float, R: int,
                        seed: int = 0) -> tuple[float, float]:
     """max over a fixed probe set of start pairs (x, y) of the Monte Carlo
-    ||X_kx - X_ky||_p, with both chains driven by the same matrices.
-    Returns (estimate, bootstrap stderr of the maximizing pair)."""
-    if not isinstance(model, GLdWalkModel):
+    ||X_kx - X_ky||_p of a GL_d walk, with both chains driven by the same
+    matrices (its ``log_gains``).  Returns (estimate, bootstrap stderr of
+    the maximizing pair)."""
+    if not hasattr(model, "log_gains"):
         raise ModelMismatchError("theta_gl_surrogate needs a GL_d walk")
     if k == 0:
         return 0.0, 0.0

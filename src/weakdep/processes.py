@@ -16,12 +16,23 @@ come with fast vectorized path / partial-sum engines:
   product acting on directions, quenched at a fixed start, centered by a
   reproducible Monte Carlo pre-pass.
 
-Each stateful model has one stepping kernel: ``GLdWalkModel.log_gains``
-for the walk and the integer register loop in ``_paths_matrix`` for the
-doubling map, whose observables live in one table.  ``m_project`` builds
-the m-dependent approximation X_{k,m} = E[X_k | eps_k .. eps_{k-m+1}] for
-the linear and doubling models, the two families where it has a closed
-form.
+Every model answers for itself: a capability is a method (or, for the
+exact autocovariance oracle of ``weakdep.variance``, an attribute naming
+it), and the public functions here turn a missing one into
+``ModelMismatchError``.
+
+capability                linear   Hoelder  doubling  projected  GL walk
+------------------------  -------  -------  --------  ---------  -------
+``paths`` (reps x n)      conv.    conv.    register  register   gains
+``partial_sums``          B-N      paths    paths     paths      stream
+``truncation_error(J)``   yes      yes      yes       -          -
+``m_project(m)``          yes      -        yes       -          -
+``exact_autocovariance``  linear   -        doubling  -          -
+
+conv. is the convolution shared by the linear and Hoelder models, which
+differ only in their readout of Y; projected is ``DoublingProjectedModel``;
+B-N is the Beveridge-Nelson weighted innovation sum.  ``m_project`` gives
+X_{k,m} = E[X_k | eps_k .. eps_{k-m+1}] where it has a closed form.
 """
 
 from __future__ import annotations
@@ -123,9 +134,16 @@ class CoefficientScheme:
             raise PreconditionError("truncation length must be >= 1")
         return ExplicitScheme(tuple(self.coefficients[:m]))
 
-    @property
-    def label(self) -> str:
-        return type(self).__name__
+    def sum_weights(self, klo: int, khi: int, t: np.ndarray) -> np.ndarray:
+        """Beveridge-Nelson weight of eps_t in sum_{k=klo..khi} X_k for the
+        linear model on the stored scheme: C(khi - t) - C(klo - 1 - t)."""
+        L = self.length
+
+        def C_at(s):
+            s = np.minimum(s, L - 1)
+            return np.where(s >= 0, self.cumsum[np.clip(s, 0, L - 1)], 0.0)
+
+        return C_at(khi - t) - C_at(klo - 1 - t)
 
 
 @dataclass(frozen=True)
@@ -272,14 +290,19 @@ def _check_window(model, w: InnovationWindow):
             f"window law {w.law.kind!r} != model law {model.law.kind!r}")
 
 
-@dataclass(frozen=True)
-class LinearModel:
-    """X_k = sum_j alpha_j eps_{k-j}."""
+class _WindowModel:
+    """A model read off a fixed-depth innovation window: ``evaluate_values``
+    maps (..., J) newest-first innovations to X, ``paths`` gives the
+    (len(reps), n) matrix of X_1..X_n, and S_n sums its rows."""
 
-    scheme: CoefficientScheme
-    law: InnovationLaw
+    def partial_sums(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
+        return _by_chunks(reps, n + self.required_depth, lambda chunk:
+                          self.paths(seed, chunk, n).sum(axis=1))
 
-    variant = "linear"
+
+class _LinearFilter(_WindowModel):
+    """The models read off the linear process Y_k = sum_j alpha_j
+    eps_{k-j}; ``readout`` maps Y to X."""
 
     def __post_init__(self):
         if self.law.kind == "raw-bit":
@@ -292,11 +315,50 @@ class LinearModel:
         return self.scheme.length
 
     def evaluate_values(self, values: np.ndarray) -> np.ndarray:
-        """Linear readout on (..., J) arrays of newest-first innovations.
+        """Readout on (..., J) arrays of newest-first innovations.
         J may be smaller than the scheme length; that is the depth-J
         truncated model (callers manage the truncation policy)."""
         J = values.shape[-1]
-        return values @ self.scheme.coefficients[:J]
+        return self.readout(values @ self.scheme.coefficients[:J])
+
+    def paths(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
+        L = self.scheme.length
+        times = np.arange(2 - L, n + 1)
+        eps = law_values(self.law, seed, reps[:, None], SERIES_BASE, times)
+        alpha = self.scheme.coefficients
+        if L == 1:
+            y = eps * alpha[0]
+        else:
+            y = fftconvolve(eps, alpha[None, :], mode="valid", axes=1)
+        return self.readout(y)
+
+
+@dataclass(frozen=True)
+class LinearModel(_LinearFilter):
+    """X_k = sum_j alpha_j eps_{k-j}."""
+
+    scheme: CoefficientScheme
+    law: InnovationLaw
+
+    exact_autocovariance = "exact-linear"
+
+    def readout(self, y: np.ndarray) -> np.ndarray:
+        return y
+
+    def partial_sums(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
+        # S_n = sum_t w_t eps_t; innovations older than 2 - L weigh 0
+        times = np.arange(2 - self.scheme.length, n + 1)
+        w = self.scheme.sum_weights(1, n, times)
+        return _by_chunks(reps, len(times), lambda chunk: law_values(
+            self.law, seed, chunk[:, None], SERIES_BASE, times) @ w)
+
+    def truncation_error(self, J: int) -> float:
+        return float(np.sqrt(self.scheme.tail_sumsq(J)))
+
+    def m_project(self, m: int) -> "LinearModel":
+        if m >= self.scheme.length:
+            return self
+        return LinearModel(self.scheme.truncate(m), self.law)
 
 
 _HOLDER_OBSERVABLES = ("cos-shift", "abs-center", "cube-clip")
@@ -318,7 +380,7 @@ _CENTER_REPS = 1 << 17
 
 
 @dataclass(frozen=True)
-class HolderOfLinearModel:
+class HolderOfLinearModel(_LinearFilter):
     """X_k = f(Y_k) - E f(Y_0) with Y the linear process for ``scheme``.
 
     ``beta``/``c`` are the Hoelder exponent and constant of f used by the
@@ -332,21 +394,13 @@ class HolderOfLinearModel:
     beta: float = 1.0
     c: float = 1.0
 
-    variant = "holder"
-
     def __post_init__(self):
         if self.observable not in _HOLDER_OBSERVABLES:
             raise ModelMismatchError(
                 f"observable must be one of {_HOLDER_OBSERVABLES}")
         if not 0.0 < self.beta <= 1.0:
             raise PreconditionError("Hoelder exponent must lie in (0, 1]")
-        if self.law.kind == "raw-bit":
-            raise ModelMismatchError(
-                "raw-bit innovations are reserved for the doubling map")
-
-    @property
-    def required_depth(self) -> int:
-        return self.scheme.length
+        super().__post_init__()
 
     @cached_property
     def center(self) -> float:
@@ -363,10 +417,12 @@ class HolderOfLinearModel:
         y = eps @ self.scheme.coefficients
         return float(np.mean(_holder_f(self.observable, self.c, self.beta, y)))
 
-    def evaluate_values(self, values: np.ndarray) -> np.ndarray:
-        J = values.shape[-1]
-        y = values @ self.scheme.coefficients[:J]
+    def readout(self, y: np.ndarray) -> np.ndarray:
         return _holder_f(self.observable, self.c, self.beta, y) - self.center
+
+    def truncation_error(self, J: int) -> float:
+        # ||f(Y) - f(Y_J)||_2 <= c E[|D|^{2 beta}]^{1/2} <= c (E D^2)^{beta/2}
+        return float(self.c * self.scheme.tail_sumsq(J) ** (self.beta / 2))
 
 
 _TWO63 = np.uint64(1) << np.uint64(63)
@@ -426,7 +482,7 @@ def _pack_bits(values: np.ndarray, nbits: int) -> np.ndarray:
     return (bits << shifts).sum(axis=-1, dtype=np.uint64)
 
 
-class _DoublingRegister:
+class _DoublingRegister(_WindowModel):
     """The doubling models hold the newest ``nbits`` innovation bits in an
     integer register and read X off it with ``register_value``."""
 
@@ -441,6 +497,24 @@ class _DoublingRegister:
     def evaluate_values(self, values: np.ndarray) -> np.ndarray:
         return self.register_value(_pack_bits(values, self.nbits))
 
+    def paths(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
+        out = np.empty((len(reps), n))
+        nbits = self.nbits
+        col = reps[:, None]
+        # seed the register with the pre-sample bits
+        init_times = 1 - nbits + np.arange(nbits)
+        words = raw_words(seed, col, SERIES_BASE, init_times)
+        bits = (words >> np.uint64(63)).astype(np.float64)
+        w = _pack_bits(bits[:, ::-1], nbits)
+        shift_in = np.uint64(nbits - 1)
+        mask = (np.uint64(1) << np.uint64(nbits)) - np.uint64(1) \
+            if nbits < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
+        for k in range(1, n + 1):
+            bit = raw_words(seed, reps, SERIES_BASE, k) >> np.uint64(63)
+            w = ((w >> np.uint64(1)) | (bit << shift_in)) & mask
+            out[:, k - 1] = self.register_value(w)
+        return out
+
 
 @dataclass(frozen=True)
 class DoublingModel(_DoublingRegister):
@@ -450,7 +524,7 @@ class DoublingModel(_DoublingRegister):
     observable: str = "cos2pi"
     depth: int = 64
 
-    variant = "doubling"
+    exact_autocovariance = "exact-doubling"
 
     def __post_init__(self):
         _doubling_observable(self.observable)
@@ -464,6 +538,15 @@ class DoublingModel(_DoublingRegister):
     def register_value(self, w):
         return _DOUBLING_OBSERVABLES[self.observable].f(w)
 
+    def truncation_error(self, J: int) -> float:
+        # truncating J bits moves the state by less than 2^-J
+        return float(_DOUBLING_OBSERVABLES[self.observable].modulus(2.0 ** -J))
+
+    def m_project(self, m: int) -> _DoublingRegister:
+        if m >= self.depth:
+            return self
+        return DoublingProjectedModel(self.observable, m)
+
 
 @dataclass(frozen=True)
 class DoublingProjectedModel(_DoublingRegister):
@@ -472,8 +555,6 @@ class DoublingProjectedModel(_DoublingRegister):
 
     observable: str
     m: int
-
-    variant = "doubling-projected"
 
     def __post_init__(self):
         _doubling_observable(self.observable)
@@ -501,8 +582,6 @@ class GLdWalkModel:
     burn_in: int = 256
     center_reps: int = 1 << 15
 
-    variant = "gl-walk"
-
     def __post_init__(self):
         if self.d < 2:
             raise PreconditionError("dimension must be >= 2")
@@ -513,12 +592,6 @@ class GLdWalkModel:
     def law(self) -> InnovationLaw:
         # matrix entries are built from uniforms internally
         return get_law("centered-uniform")
-
-    @property
-    def required_depth(self) -> int:
-        raise ModelMismatchError(
-            "GL_d walk is not a fixed-depth Bernoulli shift; "
-            "use sample_path/partial_sums")
 
     def log_gains(self, seed, replications, series=SERIES_BASE, start=None):
         """The uncentered increments log||g_k y_{k-1}||, one array per step
@@ -554,6 +627,24 @@ class GLdWalkModel:
             y1 = s * y[..., 0] + c * y[..., 1]
             y[..., 0], y[..., 1] = y0, y1
             yield np.log(norm)
+
+    def paths(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
+        out = np.empty((len(reps), n))
+        mu = _gl_centering(self, seed, n)
+        for k, gain in enumerate(islice(self.log_gains(seed, reps), n)):
+            out[:, k] = gain - mu[k]
+        return out
+
+    def partial_sums(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
+        # streamed: the walk never materializes its (reps x n) path matrix
+        mu_total = _gl_centering(self, seed, n).sum()
+
+        def walk(chunk):
+            acc = np.zeros(len(chunk))
+            for gain in islice(self.log_gains(seed, chunk), n):
+                acc += gain
+            return acc - mu_total
+        return _by_chunks(reps, n * self.d, walk)
 
 
 # centering profiles, cached per (model, seed); dict ops are atomic under
@@ -618,29 +709,20 @@ def _gl_centering(model: GLdWalkModel, seed, n: int) -> np.ndarray:
 # generic operations
 # ---------------------------------------------------------------------------
 
+def _capability(model, name: str):
+    """The model's method ``name``; a model without one is a mismatch."""
+    method = getattr(model, name, None)
+    if method is None:
+        raise ModelMismatchError(
+            f"{name} unsupported for {type(model).__name__}")
+    return method
+
+
 def evaluate(model, w: InnovationWindow) -> float:
     """X at the window's anchor time."""
+    readout = _capability(model, "evaluate_values")
     _check_window(model, w)
-    return float(model.evaluate_values(w.values[:model.required_depth]))
-
-
-def _bn_weights(scheme: CoefficientScheme, n: int) -> tuple[np.ndarray, int]:
-    """Beveridge-Nelson innovation weights for S_n = sum_t w_t eps_t.
-
-    Returns (w, t0) with w[i] the weight of eps_{t0 + i}; weights of
-    innovations older than t0 vanish for the truncated scheme.
-    """
-    L = scheme.length
-    C = scheme.cumsum
-    t = np.arange(2 - L, n + 1)
-
-    def C_at(s):
-        s = np.minimum(s, L - 1)
-        out = np.where(s >= 0, C[np.clip(s, 0, L - 1)], 0.0)
-        return out
-
-    w = C_at(n - t) - C_at(-t)
-    return w, 2 - L
+    return float(readout(w.values[:model.required_depth]))
 
 
 def _by_chunks(reps: np.ndarray, row_len: int, fn) -> np.ndarray:
@@ -659,94 +741,21 @@ def partial_sums(model, seed, replications, n: int) -> np.ndarray:
     reps = np.asarray(replications, dtype=np.int64)
     if n < 1:
         raise PreconditionError("n must be >= 1")
-
-    if isinstance(model, LinearModel):
-        w, t0 = _bn_weights(model.scheme, n)
-        times = np.arange(t0, n + 1)
-        return _by_chunks(reps, len(times), lambda chunk: law_values(
-            model.law, seed, chunk[:, None], SERIES_BASE, times) @ w)
-
-    if isinstance(model, GLdWalkModel):
-        # streamed: the walk never materializes its (reps x n) path matrix
-        mu_total = _gl_centering(model, seed, n).sum()
-
-        def walk(chunk):
-            acc = np.zeros(len(chunk))
-            for gain in islice(model.log_gains(seed, chunk), n):
-                acc += gain
-            return acc - mu_total
-        return _by_chunks(reps, n * model.d, walk)
-
-    if isinstance(model, (HolderOfLinearModel, _DoublingRegister)):
-        return _by_chunks(reps, n + model.required_depth, lambda chunk:
-                          _paths_matrix(model, seed, chunk, n).sum(axis=1))
-
-    raise ModelMismatchError(f"unsupported model {type(model).__name__}")
-
-
-def _paths_matrix(model, seed, reps: np.ndarray, n: int) -> np.ndarray:
-    """(len(reps), n) matrix of X_1..X_n."""
-    if isinstance(model, LinearModel) or isinstance(model, HolderOfLinearModel):
-        L = model.scheme.length
-        times = np.arange(2 - L, n + 1)
-        eps = law_values(model.law, seed, reps[:, None], SERIES_BASE, times)
-        alpha = model.scheme.coefficients
-        if L == 1:
-            y = eps * alpha[0]
-        else:
-            y = fftconvolve(eps, alpha[None, :], mode="valid", axes=1)
-        if isinstance(model, LinearModel):
-            return y
-        return _holder_f(model.observable, model.c, model.beta, y) - model.center
-
-    out = np.empty((len(reps), n))
-    if isinstance(model, _DoublingRegister):
-        nbits = model.nbits
-        col = reps[:, None]
-        # seed the register with the pre-sample bits
-        init_times = 1 - nbits + np.arange(nbits)
-        words = raw_words(seed, col, SERIES_BASE, init_times)
-        bits = (words >> np.uint64(63)).astype(np.float64)
-        w = _pack_bits(bits[:, ::-1], nbits)
-        shift_in = np.uint64(nbits - 1)
-        mask = (np.uint64(1) << np.uint64(nbits)) - np.uint64(1) \
-            if nbits < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-        for k in range(1, n + 1):
-            bit = raw_words(seed, reps, SERIES_BASE, k) >> np.uint64(63)
-            w = ((w >> np.uint64(1)) | (bit << shift_in)) & mask
-            out[:, k - 1] = model.register_value(w)
-        return out
-
-    if isinstance(model, GLdWalkModel):
-        mu = _gl_centering(model, seed, n)
-        for k, gain in enumerate(islice(model.log_gains(seed, reps), n)):
-            out[:, k] = gain - mu[k]
-        return out
-
-    raise ModelMismatchError(f"no path matrix for {type(model).__name__}")
+    return _capability(model, "partial_sums")(seed, reps, n)
 
 
 def sample_path(model, seed, replication, n: int) -> np.ndarray:
     """X_1..X_n for one replication; entries equal window evaluations."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    return _paths_matrix(model, seed, np.asarray([replication]), n)[0]
+    return _capability(model, "paths")(seed, np.asarray([replication]), n)[0]
 
 
 def truncation_error(model, J: int) -> float:
     """Upper bound on ||X - X^{J-truncated}||_2."""
     if J < 0:
         raise PreconditionError("J must be >= 0")
-    if isinstance(model, LinearModel):
-        return float(np.sqrt(model.scheme.tail_sumsq(J)))
-    if isinstance(model, HolderOfLinearModel):
-        # ||f(Y) - f(Y_J)||_2 <= c E[|D|^{2 beta}]^{1/2} <= c (E D^2)^{beta/2}
-        return float(model.c * model.scheme.tail_sumsq(J) ** (model.beta / 2))
-    if isinstance(model, DoublingModel):
-        # truncating J bits moves the state by less than 2^-J
-        return float(_DOUBLING_OBSERVABLES[model.observable].modulus(2.0 ** -J))
-    raise ModelMismatchError(
-        f"truncation_error unsupported for {type(model).__name__}")
+    return _capability(model, "truncation_error")(J)
 
 
 def m_project(model, m: int):
@@ -754,13 +763,4 @@ def m_project(model, m: int):
     available in closed form for the linear and doubling models."""
     if m < 1:
         raise PreconditionError("m must be >= 1")
-    if isinstance(model, LinearModel):
-        if m >= model.scheme.length:
-            return model
-        return LinearModel(model.scheme.truncate(m), model.law)
-    if isinstance(model, DoublingModel):
-        if m >= model.depth:
-            return model
-        return DoublingProjectedModel(model.observable, m)
-    raise ModelMismatchError(
-        f"m_project unsupported for {type(model).__name__}")
+    return _capability(model, "m_project")(m)

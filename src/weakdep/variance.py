@@ -21,16 +21,7 @@ from .errors import (
     ModelMismatchError,
     PreconditionError,
 )
-from .processes import (
-    CoefficientScheme,
-    DoublingModel,
-    LinearModel,
-    PowerLawScheme,
-    _DOUBLING_OBSERVABLES,
-    _bn_weights,
-    _paths_matrix,
-    partial_sums,
-)
+from .processes import CoefficientScheme, PowerLawScheme, partial_sums
 
 __all__ = [
     "AutocovarianceTable",
@@ -74,7 +65,7 @@ class AutocovarianceTable:
         return len(self.gamma) - 1
 
 
-def _exact_linear_gamma(model: LinearModel, K: int) -> np.ndarray:
+def _exact_linear_gamma(model, K: int) -> np.ndarray:
     alpha = model.scheme.coefficients
     L = len(alpha)
     g = np.zeros(K + 1)
@@ -90,12 +81,12 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-def _exact_doubling_gamma(model: DoublingModel, K: int) -> np.ndarray:
+def _exact_doubling_gamma(model, K: int) -> np.ndarray:
     """gamma(k) = int_0^1 f(x) f(2^k x mod 1) dx by per-cell quadrature,
     each dyadic cell split at its midpoint (where 2^k x mod 1 crosses 1/2)."""
     if K > 24:
         raise PreconditionError("exact-doubling lag cap is 24")
-    f = _DOUBLING_OBSERVABLES[model.observable].f
+    f = model.register_value
     # u-nodes covering [0, 1] as two half-cells
     u = np.concatenate([0.5 * _GL_NODES, 0.5 + 0.5 * _GL_NODES])
     wq = np.concatenate([0.5 * _GL_WEIGHTS, 0.5 * _GL_WEIGHTS])
@@ -116,7 +107,7 @@ def _exact_doubling_gamma(model: DoublingModel, K: int) -> np.ndarray:
 
 def _mc_gamma(model, K: int, R: int, seed) -> tuple[np.ndarray, np.ndarray]:
     T = max(2 * K, 64)
-    paths = _paths_matrix(model, seed, _VAR_REP_OFFSET + np.arange(R), T + K)
+    paths = model.paths(seed, _VAR_REP_OFFSET + np.arange(R), T + K)
     g = np.empty(K + 1)
     se = np.empty(K + 1)
     for k in range(K + 1):
@@ -127,23 +118,24 @@ def _mc_gamma(model, K: int, R: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return g, se
 
 
-# exact autocovariance methods: the model family each needs, its oracle
-_EXACT_GAMMA = {"exact-linear": (LinearModel, _exact_linear_gamma),
-                "exact-doubling": (DoublingModel, _exact_doubling_gamma)}
+# exact autocovariance oracles, by the name a model gives as its
+# ``exact_autocovariance``
+_EXACT_GAMMA = {"exact-linear": _exact_linear_gamma,
+                "exact-doubling": _exact_doubling_gamma}
 
 
 def _autocov_method(model, method: str = "auto") -> str:
-    """The autocovariance method for ``model``: 'auto' picks the exact
-    method of the model's family, else 'monte-carlo'.  Raises
-    ModelMismatchError for an exact method of another family."""
+    """The autocovariance method for ``model``, the one place that picks a
+    route: 'auto' takes the model's exact oracle if it has one, else
+    'monte-carlo'.  Raises ModelMismatchError for an exact method that is
+    not the model's own."""
+    exact = getattr(model, "exact_autocovariance", None)
     if method == "auto":
-        return next((name for name, (family, _) in _EXACT_GAMMA.items()
-                     if isinstance(model, family)), "monte-carlo")
+        return exact or "monte-carlo"
     if method in _EXACT_GAMMA:
-        family = _EXACT_GAMMA[method][0]
-        if not isinstance(model, family):
+        if method != exact:
             raise ModelMismatchError(
-                f"{method} requires a {family.__name__}")
+                f"{method} is not an exact oracle of {type(model).__name__}")
     elif method != "monte-carlo":
         raise PreconditionError(f"unknown method {method!r}")
     return method
@@ -163,7 +155,7 @@ def autocovariance(model, K: int, method: str = "auto", R: int = 4096,
     if method == "monte-carlo":
         g, se = _mc_gamma(model, K, R, seed)
     else:
-        g, se = _EXACT_GAMMA[method][1](model, K), np.zeros(K + 1)
+        g, se = _EXACT_GAMMA[method](model, K), np.zeros(K + 1)
     return AutocovarianceTable(gamma=g, stderr=se, method=method, model=model)
 
 
@@ -211,9 +203,8 @@ def longrun_variance(table: AutocovarianceTable) -> LongRunVariance:
     series = float(g[0] + 2.0 * g[1:].sum())
     tail, note = _fit_tail(g)
     exact = None
-    model = table.model
-    if isinstance(model, LinearModel):
-        total = model.scheme.total_sum()
+    if _autocov_method(table.model) == "exact-linear":
+        total = table.model.scheme.total_sum()
         if np.isfinite(total):
             exact = float(total ** 2)
     value = exact if exact is not None else series + tail
@@ -262,36 +253,38 @@ def exact_sum_variance_linear(scheme: CoefficientScheme, n: int) -> float:
         raise PreconditionError("n must be >= 1")
     if isinstance(scheme, PowerLawScheme):
         return _power_law_sum_variance(scheme, n)
-    w, _ = _bn_weights(scheme, n)
+    w = scheme.sum_weights(1, n, np.arange(2 - scheme.length, n + 1))
     return float(np.dot(w, w))
 
 
 def sum_variance(model, n: int, seed: int = 0, R: int = 4096) -> float:
-    """E S_n^2 for any model: exact for linear and doubling, Monte Carlo
-    (reserved replication range) otherwise."""
-    if isinstance(model, LinearModel):
+    """E S_n^2 for any model: exact where the model has an exact
+    autocovariance oracle, Monte Carlo (reserved replication range)
+    otherwise."""
+    method = _autocov_method(model)
+    if method == "exact-linear":
         return exact_sum_variance_linear(model.scheme, n)
-    if isinstance(model, DoublingModel):
-        table = autocovariance(model, K=min(24, max(1, n - 1)),
-                               method="exact-doubling")
-        g = table.gamma
-        k = np.arange(1, len(g))
-        return float(n * g[0] + 2.0 * np.dot(n - np.minimum(k, n), g[1:]))
-    s = partial_sums(model, seed, _VAR_REP_OFFSET + np.arange(R), n)
-    return float(np.var(s, ddof=1))
+    if method == "monte-carlo":
+        s = partial_sums(model, seed, _VAR_REP_OFFSET + np.arange(R), n)
+        return float(np.var(s, ddof=1))
+    table = autocovariance(model, K=min(24, max(1, n - 1)), method=method)
+    g = table.gamma
+    k = np.arange(1, len(g))
+    return float(n * g[0] + 2.0 * np.dot(n - np.minimum(k, n), g[1:]))
 
 
 def model_longrun_variance(model, seed: int = 0, K: int | None = None,
                            R: int = 4096) -> LongRunVariance:
     """Convenience: build the natural table for the model and sum it."""
-    if isinstance(model, LinearModel):
-        K = K or min(model.scheme.length, 256)
-        table = autocovariance(model, K=K, method="exact-linear")
-    elif isinstance(model, DoublingModel):
-        table = autocovariance(model, K=K or 20, method="exact-doubling")
+    method = _autocov_method(model)
+    if method == "monte-carlo":
+        table = autocovariance(model, K=K or 48, method=method, R=R,
+                               seed=seed)
+    elif method == "exact-linear":
+        table = autocovariance(model, K=K or min(model.scheme.length, 256),
+                               method=method)
     else:
-        table = autocovariance(model, K=K or 48, method="monte-carlo",
-                               R=R, seed=seed)
+        table = autocovariance(model, K=K or 20, method=method)
     return longrun_variance(table)
 
 

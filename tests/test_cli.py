@@ -107,6 +107,10 @@ def test_rerun_byte_identical(tmp_path):
     for fname in ("t-rate.csv", "t-ratefit.json", "t-rate-sqrt-n-ss2.dat"):
         blobs = [(o / fname).read_bytes() for o in outs]
         assert blobs[0] == blobs[1] == blobs[2]
+    # the digest identifies the results, which do not depend on threads
+    digests = {json.loads((o / "t-manifest.json").read_text())
+               ["config_digest"] for o in outs}
+    assert len(digests) == 1
 
 
 def test_run_preset_by_name(tmp_path):
@@ -224,6 +228,17 @@ def test_validate_rejects_params_the_model_cannot_serve(tmp_path, task,
     doc = {**BASE, "model": CELL_MODELS["doubling"], "task": task,
            "params": params}
     assert main(["validate", _write(tmp_path, doc)]) == EXIT_PRECONDITION
+
+
+@pytest.mark.parametrize("model", [
+    {"variant": "doubling", "observable": "sin"},
+    {**BASE["model"], "law": "raw-bit"},
+], ids=["doubling-sin", "linear-raw-bit"])
+def test_unbuildable_model_is_a_precondition_error(tmp_path, model):
+    path = _write(tmp_path, {**BASE, "model": model})
+    assert main(["validate", path]) == EXIT_PRECONDITION
+    assert main(["run", path, "--out", str(tmp_path / "o")]) \
+        == EXIT_PRECONDITION
 
 
 def test_validate_block_params(tmp_path):

@@ -11,7 +11,12 @@ from weakdep.dependence import (
     theta_mc,
 )
 from weakdep.errors import ModelMismatchError, PreconditionError
-from weakdep.innovations import get_law
+from weakdep.innovations import (
+    draw_window,
+    get_law,
+    primed_window,
+    starred_window,
+)
 from weakdep.processes import (
     DoublingModel,
     GeometricScheme,
@@ -19,6 +24,7 @@ from weakdep.processes import (
     HolderOfLinearModel,
     LinearModel,
     PowerLawScheme,
+    evaluate,
     identity_scheme,
 )
 
@@ -100,6 +106,28 @@ def test_theta_mc_preconditions():
         theta_mc(m, 1, 2.0, 10)
     with pytest.raises(ModelMismatchError):
         theta_mc(GLdWalkModel(d=2), 1, 2.0, 2000)
+
+
+@pytest.mark.parametrize("model", [
+    HolderOfLinearModel(GeometricScheme(0.5, 32), GAUSS),
+    DoublingModel("cos2pi"),
+], ids=["holder", "doubling"])
+@pytest.mark.parametrize("l", [1, 5])
+def test_theta_mc_matches_scalar_windows(model, l):
+    # the scalar windows are the reference coupling: rebuild theta' and
+    # theta* one replication at a time from primed and starred windows
+    R, p, seed = 1000, 2.0, 4
+    x, x_prime, x_star = (np.empty(R) for _ in range(3))
+    for r in range(R):
+        w = draw_window(model.law, seed, r, l, model.required_depth)
+        x[r] = evaluate(model, w)
+        x_prime[r] = evaluate(model, primed_window(w, l))
+        x_star[r] = evaluate(model, starred_window(w, l))
+    est = theta_mc(model, l, p, R, seed=seed)
+    assert est.theta_prime == pytest.approx(
+        np.mean(np.abs(x - x_prime) ** p) ** (1 / p), rel=1e-12)
+    assert est.theta_star == pytest.approx(
+        np.mean(np.abs(x - x_star) ** p) ** (1 / p), rel=1e-12)
 
 
 def test_doubling_theta_star_bounded_by_modulus():

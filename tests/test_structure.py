@@ -1,0 +1,75 @@
+"""Structural rules of the package, checked on its source.
+
+Per-family behaviour lives on the model classes in ``processes``: no
+module tests a model's class, the consumer modules reach the models only
+through the public functions and the model methods, and the command line
+names a model class only where it builds the model from a config.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "weakdep"
+PUBLIC_MODELS = {"LinearModel", "HolderOfLinearModel", "DoublingModel",
+                 "DoublingProjectedModel", "GLdWalkModel"}
+CONSUMERS = ("variance", "blocks", "bedistance", "rates", "dependence")
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(), f"{module}.py")
+
+
+def _model_classes() -> set:
+    """The public model classes and every class in processes that they
+    derive from."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in ast.walk(_tree("processes"))
+             if isinstance(node, ast.ClassDef)}
+    models, todo = set(), list(PUBLIC_MODELS)
+    while todo:
+        name = todo.pop()
+        if name not in models:
+            models.add(name)
+            todo.extend(bases.get(name, ()))
+    return models
+
+
+def _names(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_no_module_tests_a_model_class():
+    models = _model_classes()
+    sites = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "isinstance" and len(node.args) == 2
+             and _names(node.args[1]) & models]
+    assert sites == []
+
+
+def test_consumers_import_no_model_internals():
+    models = _model_classes()
+    imports = [f"{module}: {alias.name}"
+               for module in CONSUMERS
+               for node in ast.walk(_tree(module))
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("processes", "weakdep.processes")
+               for alias in node.names
+               if alias.name.startswith("_") or alias.name in models]
+    assert imports == []
+
+
+def test_cli_names_model_classes_only_to_build_them():
+    models = _model_classes()
+    tree = _tree("cli")
+    in_build_model = {id(n) for f in tree.body
+               if isinstance(f, ast.FunctionDef) and f.name == "build_model"
+               for n in ast.walk(f)}
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in models
+            and id(node) not in in_build_model]
+    assert uses == []
