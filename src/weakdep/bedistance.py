@@ -20,7 +20,6 @@ from .errors import DegenerateVarianceError, ModelMismatchError, PreconditionErr
 from .processes import CoefficientScheme, partial_sums
 from .variance import (
     DEGENERACY_THRESHOLD,
-    _autocov_method,
     exact_sum_variance_linear,
     model_longrun_variance,
     sum_variance,
@@ -29,6 +28,7 @@ from .variance import (
 __all__ = [
     "NORMALIZATIONS",
     "BEEstimate",
+    "check_estimate",
     "dkw_halfwidth",
     "ks_distance_to_normal",
     "empirical_delta",
@@ -78,33 +78,52 @@ def ks_distance_to_normal(samples: np.ndarray) -> float:
     return float(max(d_plus, d_minus, 0.0))
 
 
-def _denominator(model, n, normalization, seed):
+def check_estimate(normalization: str, R: int | None = None) -> None:
+    """Check a Delta_n estimate before computing it: a known normalization
+    and, for Monte Carlo over R replications, R >= 1000."""
+    if R is not None and R < 1000:
+        raise PreconditionError("empirical_delta needs R >= 1000")
+    if normalization not in NORMALIZATIONS:
+        raise PreconditionError(
+            f"normalization must be one of {NORMALIZATIONS}, "
+            f"got {normalization!r}")
+
+
+def _normalizer(model, normalization: str, seed: int):
+    """n -> denom for a checked normalization, resolved once per (model,
+    normalization, seed): ss^2 is computed here, E S_n^2 at each n."""
     if normalization == "sqrt-n-ss2":
         ss2 = model_longrun_variance(model, seed=seed).value
-        return np.sqrt(n * ss2)
-    if normalization == "sqrt-ESn2":
+        return lambda n: np.sqrt(n * ss2)
+
+    def own_scale(n):
         v = sum_variance(model, n, seed=seed)
         if v <= DEGENERACY_THRESHOLD:
             raise DegenerateVarianceError(
                 f"E S_n^2 = {v:.3e} is numerically zero")
         return np.sqrt(v)
-    raise PreconditionError(
-        f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
+    return own_scale
 
 
-def empirical_delta(model, n: int, R: int, normalization: str,
-                    seed: int = 0, rep_start: int = 0,
-                    delta_conf: float = 0.01) -> BEEstimate:
-    """Monte Carlo Delta_n over replications rep_start..rep_start+R-1."""
-    if R < 1000:
-        raise PreconditionError("empirical_delta needs R >= 1000")
-    denom = _denominator(model, n, normalization, seed)
+def _empirical(model, n: int, R: int, normalization: str, denom: float,
+               seed: int, rep_start: int, delta_conf: float) -> BEEstimate:
+    """empirical_delta with the denominator resolved."""
     s = partial_sums(model, seed, rep_start + np.arange(R), n)
     delta = ks_distance_to_normal(s / denom)
     hw = dkw_halfwidth(R, delta_conf)
     return BEEstimate(n=n, normalization=normalization, delta=delta,
                       low=max(0.0, delta - hw), high=min(1.0, delta + hw),
                       method="empirical", R=R, seed=seed)
+
+
+def empirical_delta(model, n: int, R: int, normalization: str,
+                    seed: int = 0, rep_start: int = 0,
+                    delta_conf: float = 0.01) -> BEEstimate:
+    """Monte Carlo Delta_n over replications rep_start..rep_start+R-1."""
+    check_estimate(normalization, R)
+    denom = _normalizer(model, normalization, seed)(n)
+    return _empirical(model, n, R, normalization, denom, seed, rep_start,
+                      delta_conf)
 
 
 def gaussian_closed_form_delta(r: float) -> float:
@@ -133,9 +152,10 @@ def exact_delta_gaussian_linear(scheme: CoefficientScheme, n: int,
     innovations: S_n is exactly normal with variance E S_n^2."""
     if not isinstance(scheme, CoefficientScheme):
         raise ModelMismatchError("expected a coefficient scheme")
+    check_estimate(normalization)
     if normalization == "sqrt-ESn2":
         delta = 0.0
-    elif normalization == "sqrt-n-ss2":
+    else:
         total = scheme.total_sum()
         ss2 = total * total
         if not np.isfinite(ss2) or ss2 <= DEGENERACY_THRESHOLD:
@@ -143,24 +163,7 @@ def exact_delta_gaussian_linear(scheme: CoefficientScheme, n: int,
                 f"ss^2 = {ss2:.3e} unusable for sqrt-n-ss2 normalization")
         es2 = exact_sum_variance_linear(scheme, n)
         delta = gaussian_closed_form_delta(np.sqrt(es2 / (n * ss2)))
-    else:
-        raise PreconditionError(
-            f"normalization must be one of {NORMALIZATIONS}")
     return BEEstimate(n=n, normalization=normalization, delta=delta,
                       low=delta, high=delta, method="gaussian-closed-form",
                       R=0, seed=seed)
 
-
-def _is_gaussian_linear(model) -> bool:
-    """Whether S_n is exactly normal, so Delta_n has a closed form."""
-    return (_autocov_method(model) == "exact-linear"
-            and model.law.kind == "standard-gaussian")
-
-
-def gaussian_linear_delta_from_model(model, n: int,
-                                     normalization: str,
-                                     seed: int = 0) -> BEEstimate:
-    if not _is_gaussian_linear(model):
-        raise ModelMismatchError(
-            "closed form needs a linear model with standard-gaussian law")
-    return exact_delta_gaussian_linear(model.scheme, n, normalization, seed)

@@ -17,17 +17,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
-from .bedistance import (
-    _is_gaussian_linear,
-    empirical_delta,
-    exact_delta_gaussian_linear,
-)
+from .bedistance import NORMALIZATIONS, check_estimate, empirical_delta
 from .blocks import (
     block_mode,
     conditional_variances,
@@ -59,7 +52,7 @@ from .processes import (
     LinearModel,
     PowerLawScheme,
 )
-from .rates import _grid_point, fit_rate
+from .rates import fit_rate, rate_route, run_rate_experiment
 from .variance import (
     VarianceReport,
     _autocov_method,
@@ -182,12 +175,6 @@ class ExperimentConfig:
             raise ConfigError(f"task {self.task!r} needs params {missing}")
         try:
             model = build_model(self.model_spec)
-            if self.task in ("rate", "counterexample"):
-                g = list(p["n_grid"])
-                if len(g) < 4 or any(g[i + 1] != 2 * g[i]
-                                     for i in range(len(g) - 1)):
-                    raise PreconditionError(
-                        "params.n_grid must be dyadic with >= 4 points")
             if self.task == "assumptions":
                 # constructing the spec enforces b > B(p)
                 AssumptionSpec(p=float(p.get("p", 3.0)),
@@ -222,10 +209,22 @@ def _closed_form_profile(model, params: dict) -> bool:
         and _autocov_method(model) == "exact-linear"
 
 
+def _rate_curves(task: str, params: dict) -> list[dict]:
+    """``run_rate_experiment`` arguments per curve of the task; the
+    counterexample runs both normalizations in closed form."""
+    if task == "counterexample":
+        return [{"n_grid": params["n_grid"], "R": 0, "normalization": norm,
+                 "method": "closed-form"} for norm in NORMALIZATIONS]
+    norms = params.get("normalization", "sqrt-n-ss2")
+    return [{"n_grid": params["n_grid"], "R": int(params.get("R", 100000)),
+             "normalization": norm, "method": params.get("method", "auto")}
+            for norm in ([norms] if isinstance(norms, str) else norms)]
+
+
 def _check_support(task: str, model, params: dict):
-    """What the task's runner needs of the model: coupled windows deep
-    enough for every lag, an autocovariance method, a block route, or an
-    exactly normal S_n."""
+    """What the task's runner needs of the model and params: coupled
+    windows deep enough for every lag, an autocovariance method, a block
+    route, a rate route, or the preconditions of a Monte Carlo Delta_n."""
     if task == "depcoef" or (task == "assumptions"
                              and not _closed_form_profile(model, params)):
         for l in _l_grid(task, params):
@@ -234,12 +233,12 @@ def _check_support(task: str, model, params: dict):
         _autocov_method(model, params.get("method", "auto"))
     elif task == "blocks":
         block_mode(model, int(params["m"]), params.get("mode", "auto"))
-    elif task == "counterexample" or (task == "rate"
-                                      and params.get("method")
-                                      == "closed-form"):
-        if not _is_gaussian_linear(model):
-            raise ModelMismatchError(
-                f"the {task} task needs a Gaussian linear model")
+    elif task in ("rate", "counterexample"):
+        for curve in _rate_curves(task, params):
+            rate_route(model, **curve)
+    elif task == "bedist":
+        check_estimate(params.get("normalization", "sqrt-n-ss2"),
+                       int(params.get("R", 100000)))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -382,29 +381,12 @@ def _fit_dict(fit):
 # tasks
 # ---------------------------------------------------------------------------
 
-def _grid_estimates(model, grid, R, normalization, seed, threads,
-                    delta_conf=0.01, method="auto"):
-    """Per-grid-point estimates with disjoint replication ranges; thread
-    scheduling cannot change results because point i always owns
-    replications [i*R, (i+1)*R) and the merge is by index."""
-    point = _grid_point(model, R, normalization, seed, delta_conf, method)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(point, range(len(grid)), grid))
-    return list(map(point, range(len(grid)), grid))
-
-
 def _task_rate(cfg, model, writer):
-    p = cfg.params
-    grid = [int(n) for n in p["n_grid"]]
-    R = int(p.get("R", 100000))
-    norms = p.get("normalization", "sqrt-n-ss2")
-    if isinstance(norms, str):
-        norms = [norms]
     all_rows, curves, fits = [], {}, {}
-    for norm in norms:
-        ests = _grid_estimates(model, grid, R, norm, cfg.seed, cfg.threads,
-                               method=p.get("method", "auto"))
+    for curve in _rate_curves("rate", cfg.params):
+        norm = curve["normalization"]
+        ests = run_rate_experiment(model, seed=cfg.seed,
+                                   threads=cfg.threads, **curve)
         all_rows.extend(_estimate_row(e) for e in ests)
         curves[norm] = [(e.n, e.delta, e.low, e.high) for e in ests]
         try:
@@ -420,11 +402,10 @@ def _task_rate(cfg, model, writer):
 def _task_counterexample(cfg, model, writer):
     """Both normalizations of the slow-rate construction: closed-form
     decay under sqrt(n ss^2), exact zero under sqrt(E S_n^2)."""
-    grid = [int(n) for n in cfg.params["n_grid"]]
-    ests_ss = [exact_delta_gaussian_linear(model.scheme, n, "sqrt-n-ss2",
-                                           seed=cfg.seed) for n in grid]
-    ests_es = [exact_delta_gaussian_linear(model.scheme, n, "sqrt-ESn2",
-                                           seed=cfg.seed) for n in grid]
+    ests_ss, ests_es = (
+        run_rate_experiment(model, seed=cfg.seed, threads=cfg.threads,
+                            **curve)
+        for curve in _rate_curves("counterexample", cfg.params))
     fit = fit_rate(ests_ss)
     rows = [_estimate_row(e) for e in ests_ss + ests_es]
     writer.write_csv(f"{cfg.name}-delta.csv", _EST_HEADER, rows)

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bedistance import (
     BEEstimate,
-    _is_gaussian_linear,
-    empirical_delta,
-    gaussian_linear_delta_from_model,
+    _empirical,
+    _normalizer,
+    check_estimate,
+    exact_delta_gaussian_linear,
 )
-from .errors import PreconditionError
+from .errors import ModelMismatchError, PreconditionError
+from .variance import _autocov_method
 
-__all__ = ["RateFit", "run_rate_experiment", "fit_rate", "loglog_wls"]
+__all__ = ["RateFit", "rate_route", "run_rate_experiment", "fit_rate",
+           "loglog_wls"]
 
 
 @dataclass(frozen=True)
@@ -33,39 +37,50 @@ class RateFit:
                 self.slope + 1.96 * self.slope_stderr)
 
 
-def _is_dyadic(grid) -> bool:
-    g = np.asarray(grid, dtype=np.int64)
-    return np.all(g[1:] == 2 * g[:-1])
-
-
-def _grid_point(model, R: int, normalization: str, seed: int,
-                delta_conf: float, method: str):
-    """The estimator (i, n) -> BEEstimate of grid point i: the
-    Gaussian-linear closed form when ``method`` selects it ('auto' does
-    where it is available), else Monte Carlo over the point's own
-    replication range [i*R, (i+1)*R)."""
-    if method == "closed-form" or (method == "auto"
-                                   and _is_gaussian_linear(model)):
-        return lambda i, n: gaussian_linear_delta_from_model(
-            model, n, normalization, seed=seed)
-    return lambda i, n: empirical_delta(model, n, R, normalization,
-                                        seed=seed, rep_start=i * R,
-                                        delta_conf=delta_conf)
+def rate_route(model, n_grid, R: int, normalization: str,
+               method: str = "auto") -> str:
+    """The route of a rate experiment, 'closed-form' (what 'auto' picks for
+    Gaussian-linear models) or 'monte-carlo'.  Checks the grid and the
+    route's preconditions, and computes nothing."""
+    g = np.asarray(n_grid, dtype=np.int64)
+    if len(g) < 4 or np.any(g[1:] != 2 * g[:-1]):
+        raise PreconditionError("n-grid must be dyadic with >= 4 points")
+    closed = (_autocov_method(model) == "exact-linear"
+              and model.law.kind == "standard-gaussian")
+    if method == "auto":
+        method = "closed-form" if closed else "monte-carlo"
+    if method == "closed-form":
+        if not closed:
+            raise ModelMismatchError(
+                "closed form needs a linear model with standard-gaussian law")
+        check_estimate(normalization)
+    elif method == "monte-carlo":
+        check_estimate(normalization, R)
+    else:
+        raise PreconditionError(
+            f"method must be auto, closed-form or monte-carlo, got {method!r}")
+    return method
 
 
 def run_rate_experiment(model, n_grid, R: int, normalization: str,
                         seed: int = 0, delta_conf: float = 0.01,
-                        method: str = "auto") -> list[BEEstimate]:
-    """One BEEstimate per grid point.  Each point owns the disjoint
-    replication range [i*R, (i+1)*R).  The Gaussian-linear closed form is
-    auto-selected when available."""
+                        method: str = "auto",
+                        threads: int = 1) -> list[BEEstimate]:
+    """One BEEstimate per grid point on the route of ``rate_route``, with
+    one denominator oracle.  Monte Carlo point i owns replications
+    [i*R, (i+1)*R) and the merge is by index, so threads change nothing."""
+    if rate_route(model, n_grid, R, normalization, method) == "closed-form":
+        point = lambda i, n: exact_delta_gaussian_linear(
+            model.scheme, n, normalization, seed=seed)
+    else:
+        denom = _normalizer(model, normalization, seed)
+        point = lambda i, n: _empirical(model, n, R, normalization, denom(n),
+                                        seed, i * R, delta_conf)
     grid = [int(n) for n in n_grid]
-    if len(grid) < 4:
-        raise PreconditionError("rate experiments need >= 4 grid points")
-    if not _is_dyadic(grid):
-        raise PreconditionError("n-grid must be dyadic (each n doubling)")
-    point = _grid_point(model, R, normalization, seed, delta_conf, method)
-    return [point(i, n) for i, n in enumerate(grid)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(point, range(len(grid)), grid))
+    return list(map(point, range(len(grid)), grid))
 
 
 def loglog_wls(x: np.ndarray, y: np.ndarray, w: np.ndarray):

@@ -247,3 +247,28 @@ def test_validate_block_params(tmp_path):
     # no layout 2(N-1)m + m' = 12 with m/2 <= m' <= m exists for m = 2
     doc["params"] = {"n": 12, "m": 2}
     assert main(["validate", _write(tmp_path, doc)]) == EXIT_PRECONDITION
+
+
+RADEMACHER = {**BASE["model"], "law": "rademacher"}
+RATE_GRID = [4, 8, 16, 32]
+
+
+@pytest.mark.parametrize("task, model, params, expected", [
+    ("rate", RADEMACHER,
+     {"n_grid": RATE_GRID, "R": 1000, "method": "closedform"},
+     EXIT_PRECONDITION),
+    ("rate", RADEMACHER,
+     {"n_grid": RATE_GRID, "R": 1000, "normalization": "sqrt-n"},
+     EXIT_PRECONDITION),
+    ("rate", RADEMACHER, {"n_grid": RATE_GRID, "R": 500}, EXIT_PRECONDITION),
+    ("bedist", BASE["model"], {"n": 16, "R": 100}, EXIT_PRECONDITION),
+    ("rate", BASE["model"],
+     {"n_grid": RATE_GRID, "R": 0, "method": "closed-form"}, EXIT_OK),
+], ids=["unknown-method", "unknown-normalization", "monte-carlo-R",
+        "bedist-R", "closed-form-R-0"])
+def test_validate_and_run_agree_on_rate_params(tmp_path, task, model, params,
+                                               expected):
+    path = _write(tmp_path, {**BASE, "model": model, "task": task,
+                             "params": params})
+    assert main(["validate", path]) == expected
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == expected

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from weakdep.bedistance import BEEstimate
+import weakdep.bedistance as bedistance
+from weakdep.bedistance import BEEstimate, empirical_delta
 from weakdep.errors import PreconditionError
 from weakdep.innovations import get_law
-from weakdep.processes import LinearModel, PowerLawScheme, identity_scheme
+from weakdep.processes import (
+    GeometricScheme,
+    LinearModel,
+    PowerLawScheme,
+    identity_scheme,
+)
 from weakdep.rates import fit_rate, loglog_wls, run_rate_experiment
 
 GAUSS = get_law("standard-gaussian")
@@ -94,6 +100,24 @@ def test_rademacher_experiment_decreasing_within_bands():
                                "sqrt-n-ss2", seed=5)
     for a, b in zip(ests, ests[1:]):
         assert b.delta <= a.delta + a.halfwidth + b.halfwidth
+
+
+def test_ss2_computed_once_per_experiment(monkeypatch):
+    calls = []
+    oracle = bedistance.model_longrun_variance
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(bedistance, "model_longrun_variance", counted)
+    m = LinearModel(GeometricScheme(rho=0.5, length=32), get_law("rademacher"))
+    grid, R = [4, 8, 16, 32], 1000
+    ests = run_rate_experiment(m, grid, R, "sqrt-n-ss2", seed=2)
+    assert len(calls) == 1
+    assert ests == [empirical_delta(m, n, R, "sqrt-n-ss2", seed=2,
+                                    rep_start=i * R)
+                    for i, n in enumerate(grid)]
 
 
 def test_loglog_wls_weights_matter():

@@ -3,7 +3,10 @@
 Per-family behaviour lives on the model classes in ``processes``: no
 module tests a model's class, the consumer modules reach the models only
 through the public functions and the model methods, and the command line
-names a model class only where it builds the model from a config.
+names a model class only where it builds the model from a config.  The
+Delta_n grid runner in ``rates`` is the one place that maps a grid, with or
+without threads, and the command line reaches it and its checks through
+public names only.
 """
 
 import ast
@@ -73,3 +76,23 @@ def test_cli_names_model_classes_only_to_build_them():
             if isinstance(node, ast.Name) and node.id in models
             and id(node) not in in_build_model]
     assert uses == []
+
+
+def test_cli_imports_no_private_rate_names():
+    imports = [f"{node.module}: {alias.name}"
+               for node in ast.walk(_tree("cli"))
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("rates", "weakdep.rates", "bedistance",
+                                   "weakdep.bedistance")
+               for alias in node.names if alias.name.startswith("_")]
+    assert imports == []
+
+
+def test_only_rates_names_a_thread_pool():
+    modules = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        aliases = {a.name for a in ast.walk(tree) if isinstance(a, ast.alias)}
+        if "ThreadPoolExecutor" in _names(tree) | aliases:
+            modules.add(path.stem)
+    assert modules == {"rates"}
