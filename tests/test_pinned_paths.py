@@ -8,6 +8,13 @@ observable formulas shows up here.  The cases reach what the rate and
 depcoef presets do not: single-replication paths, the d > 2 centering
 pre-pass, the Monte Carlo autocovariance, the GL contraction surrogate,
 every doubling observable and its m-projection.
+
+The wide cases cross the innovation layer's key blocks: a linear sum
+whose innovation matrix spans several law blocks and ends on a partial
+one, a Monte Carlo Hoelder centering pre-pass, and doubling and GL_2 step
+loops over enough replications that the steps are hashed in several
+blocks, the last one partial.  Their digests were recorded when every
+chunk was hashed in one call and every step in a call of its own.
 """
 
 import hashlib
@@ -16,9 +23,14 @@ import numpy as np
 import pytest
 
 from weakdep.dependence import theta_gl_surrogate, theta_mc
+from weakdep.innovations import get_law
 from weakdep.processes import (
+    DifferenceScheme,
     DoublingModel,
+    GeometricScheme,
     GLdWalkModel,
+    HolderOfLinearModel,
+    LinearModel,
     m_project,
     partial_sums,
     sample_path,
@@ -32,6 +44,17 @@ GL2 = GLdWalkModel(d=2)
 GL3 = GLdWalkModel(d=3, burn_in=16, center_reps=1024)
 REPS = np.arange(5, 69)
 OBSERVABLES = ("cos2pi", "centered-x", "indicator-half")
+# 4096 replications leave room for 16 steps per key block, so 40 steps
+# take three blocks
+WIDE_REPS = np.arange(3, 4099)
+# a 575-wide innovation row: 300 replications take three law blocks
+CANCEL = LinearModel(DifferenceScheme("power", 0.25, 512),
+                     get_law("rademacher"))
+# abs-center has no closed-form centering, so a 2^17 x 64 Monte Carlo
+# pre-pass runs first
+HOLDER = HolderOfLinearModel(GeometricScheme(0.5, 64),
+                             get_law("standard-gaussian"),
+                             observable="abs-center", beta=0.5)
 
 
 def _cases():
@@ -44,6 +67,15 @@ def _cases():
             GL2, K=4, method="monte-carlo", R=64, seed=11).gamma,
         "gl-surrogate-k3": lambda: np.array(
             theta_gl_surrogate(GL2, 3, 2.0, R=500, seed=2)),
+        "cancel-partial-sums-wide": lambda: partial_sums(
+            CANCEL, 7, np.arange(300), 64),
+        "holder-abs-theta-depth64": lambda: list(vars(theta_mc(
+            HOLDER, 5, 2.0, R=1000, seed=3)).values()),
+        "doubling-cos2pi-partial-sums-wide": lambda: partial_sums(
+            DoublingModel("cos2pi"), 7, WIDE_REPS, 40),
+        "gl2-partial-sums-wide": lambda: partial_sums(GL2, 7, WIDE_REPS, 40),
+        "gl-surrogate-k21-wide": lambda: np.array(
+            theta_gl_surrogate(GL2, 21, 2.0, R=4096, seed=2)),
     }
     for obs in OBSERVABLES:
         model = DoublingModel(obs)
@@ -71,6 +103,8 @@ def _cases():
 
 
 PINNED = {
+    "cancel-partial-sums-wide":
+        "ba8f89d684d6745c71a90a51d4237e26bf105f72b896f42620b362818a4097c1",
     "doubling-centered-x-autocov-exact":
         "1c993f306ed49bfc745ad121b74cccfbb248db9867f6afd0675b0b6bb877cfad",
     "doubling-centered-x-m4-autocov-mc":
@@ -97,6 +131,8 @@ PINNED = {
         "4b1f46959e0e27a73b6b8c1c04218ba65314786bf19bcf35fdbcd71fd928497a",
     "doubling-cos2pi-partial-sums":
         "82a878095f04585504b38f62b5c9593a510b5ba6162773469609705c41735a53",
+    "doubling-cos2pi-partial-sums-wide":
+        "ea9fa85b49a095da4282c54efffe584cf3d84f93d86a8ab843fa83b96afa6036",
     "doubling-cos2pi-sample-path":
         "b0397d8fffaa36badac3e9fc0d18138d46e167da935e1a673e19fdd536204531",
     "doubling-cos2pi-theta":
@@ -119,18 +155,24 @@ PINNED = {
         "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
     "doubling-indicator-half-truncation":
         "ad2ae117555646d520debfcfdb9c31732245174b5398cacd98c07983590c51d2",
+    "gl-surrogate-k21-wide":
+        "d537bbf3f51058fdcef674b7327424cf4105195badc3c387b72ac73e1e16c962",
     "gl-surrogate-k3":
         "b3dc35f911c504053e85618eb424b391788826375c28ad387b41fee60a26883f",
     "gl2-autocov-mc":
         "e9f5e038a8300e45fb6bbf05fa7ffa3390c8d54f0a11ccb8196006175d3095f0",
     "gl2-partial-sums":
         "c75e4b19e4a583e33f2dabaefcefa94d014bd52cc5df4d30544be6bef38118e3",
+    "gl2-partial-sums-wide":
+        "cc6798acf703e5e6dfdd53fe26e2ca6952a72ae3fe4666fe4238042fd5d3be39",
     "gl2-sample-path":
         "fe2e567ca117cdf9564f9a00cf3eb85c3124c9df016e4fec1f8786b5dbd0bdd6",
     "gl3-partial-sums":
         "515afb59e5fe99711c007e8d0fe6a1f82b9489b2c67f5367c75197e95458a386",
     "gl3-sample-path":
         "7e99921f0e733e4ec45b3522cb4ad484b94f85535cce6078057ed2a413abfa46",
+    "holder-abs-theta-depth64":
+        "0683ed7f110977a4707c057d10005fc2ab3eff2f2751d41ac3e9a765e8eb2c1d",
 }
 
 CASES = _cases()
