@@ -16,7 +16,12 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
-from .errors import DegenerateVarianceError, ModelMismatchError, PreconditionError
+from .errors import (
+    DegenerateVarianceError,
+    ModelMismatchError,
+    PreconditionError,
+    check_replications,
+)
 from .processes import CoefficientScheme, partial_sums
 from .variance import (
     DEGENERACY_THRESHOLD,
@@ -81,8 +86,8 @@ def ks_distance_to_normal(samples: np.ndarray) -> float:
 def check_estimate(normalization: str, R: int | None = None) -> None:
     """Check a Delta_n estimate before computing it: a known normalization
     and, for Monte Carlo over R replications, R >= 1000."""
-    if R is not None and R < 1000:
-        raise PreconditionError("empirical_delta needs R >= 1000")
+    if R is not None:
+        check_replications(R, "empirical_delta")
     if normalization not in NORMALIZATIONS:
         raise PreconditionError(
             f"normalization must be one of {NORMALIZATIONS}, "

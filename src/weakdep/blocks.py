@@ -29,6 +29,7 @@ from .errors import (
     LayoutError,
     ModelMismatchError,
     PreconditionError,
+    check_replications,
 )
 from .innovations import SERIES_AUX, SERIES_BASE, law_values
 from .processes import m_project
@@ -335,8 +336,7 @@ def degeneracy_probability(model, layout: BlockLayout, R: int,
     { N^-1 sum_j sigma_{j|m}^2 <= threshold_factor * ss_m^2 } over R
     replications of the F_m randomness.  For linear models the conditional
     variances are deterministic, so the frequency is the 0/1 indicator."""
-    if R < 1000:
-        raise PreconditionError("degeneracy_probability needs R >= 1000")
+    check_replications(R, "degeneracy_probability")
     mode = block_mode(model, layout.m, mode)
     threshold = threshold_factor * _projected_longrun(model, layout.m, seed)
     if mode == "exact":

@@ -40,6 +40,7 @@ from .errors import (
     ModelMismatchError,
     PreconditionError,
     WeakdepError,
+    check_replications,
 )
 from .innovations import get_law
 from .processes import (
@@ -204,6 +205,10 @@ def _l_grid(task: str, params: dict) -> list[int]:
     return [int(l) for l in params.get("l_grid", _DEFAULT_L_GRIDS[task])]
 
 
+def _profile_R(params: dict) -> int:
+    return int(params.get("R", 20000))
+
+
 def _closed_form_profile(model, params: dict) -> bool:
     return params.get("mode") == "closed-form" \
         and _autocov_method(model) == "exact-linear"
@@ -224,15 +229,20 @@ def _rate_curves(task: str, params: dict) -> list[dict]:
 def _check_support(task: str, model, params: dict):
     """What the task's runner needs of the model and params: coupled
     windows deep enough for every lag, an autocovariance method, a block
-    route, a rate route, or the preconditions of a Monte Carlo Delta_n."""
+    route, a rate route, or the preconditions of a Monte Carlo Delta_n;
+    every Monte Carlo estimate its replication floor."""
     if task == "depcoef" or (task == "assumptions"
                              and not _closed_form_profile(model, params)):
         for l in _l_grid(task, params):
             _window_depth(model, l)
+        check_replications(_profile_R(params), "theta_mc")
     elif task == "variance":
         _autocov_method(model, params.get("method", "auto"))
     elif task == "blocks":
         block_mode(model, int(params["m"]), params.get("mode", "auto"))
+        if "degeneracy_R" in params:
+            check_replications(int(params["degeneracy_R"]),
+                               "degeneracy_probability")
     elif task in ("rate", "counterexample"):
         for curve in _rate_curves(task, params):
             rate_route(model, **curve)
@@ -432,7 +442,7 @@ def _task_depcoef(cfg, model, writer):
     p = cfg.params
     prof = dependence_profile(model, float(p.get("p", 2.0)),
                               _l_grid("depcoef", p),
-                              int(p.get("R", 20000)), seed=cfg.seed)
+                              _profile_R(p), seed=cfg.seed)
     rows = [[e.l, f"{e.theta_prime:.12g}", f"{e.theta_star:.12g}",
              f"{e.se_prime:.12g}", f"{e.se_star:.12g}"]
             for e in prof.entries]
@@ -513,7 +523,7 @@ def _task_assumptions(cfg, model, writer):
         prof = profile_closed_form(model.scheme, grid)
     else:
         prof = dependence_profile(model, spec.p, grid,
-                                  int(p.get("R", 20000)), seed=cfg.seed)
+                                  _profile_R(p), seed=cfg.seed)
     report = check_assumptions(prof, spec)
     doc = report.to_dict()
     writer.write_json(f"{cfg.name}-assumptions.json", doc)

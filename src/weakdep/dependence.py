@@ -10,11 +10,10 @@ fits — they are verdicts about fits, never proofs about infinite sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .errors import ModelMismatchError, PreconditionError
+from .errors import ModelMismatchError, PreconditionError, check_replications
 from .innovations import SERIES_BASE, SERIES_PRIME, law_values
 from .processes import CoefficientScheme
 from .rates import loglog_wls
@@ -112,8 +111,7 @@ def theta_mc(model, l: int, p: float, R: int, seed: int = 0,
     depth = _window_depth(model, l)
     if l < 0:
         raise PreconditionError("lag must be >= 0")
-    if R < 1000:
-        raise PreconditionError("theta_mc needs R >= 1000")
+    check_replications(R, "theta_mc")
     if p < 1:
         raise PreconditionError("p must be >= 1")
     reps = (rep_start + np.arange(R))[:, None]
@@ -151,13 +149,15 @@ def theta_gl_surrogate(model, k: int, p: float, R: int,
     the maximizing pair)."""
     if not hasattr(model, "log_gains"):
         raise ModelMismatchError("theta_gl_surrogate needs a GL_d walk")
+    if k < 0:
+        raise PreconditionError("k must be >= 0")
     if k == 0:
         return 0.0, 0.0
     # every probe chain runs on the same matrices: (pairs, 2, R, d) starts
     pairs = np.array(_gl_probe_pairs(model.d))[:, :, None, :]
     start = np.broadcast_to(pairs, pairs.shape[:2] + (R, model.d))
-    gains = next(islice(model.log_gains(seed, np.arange(R), start=start),
-                        k - 1, None))
+    for gains in model.log_gains(seed, np.arange(R), k, start=start):
+        pass  # the gains at step k
     best = (-1.0, 0.0)
     for pair_idx, (gain_x, gain_y) in enumerate(gains):
         powers = np.abs(gain_x - gain_y) ** p

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the Monte Carlo replication floor."""
 
 __all__ = [
     "WeakdepError",
@@ -8,6 +8,7 @@ __all__ = [
     "ModelMismatchError",
     "InternalConsistencyError",
     "ConfigError",
+    "check_replications",
 ]
 
 
@@ -38,3 +39,9 @@ class InternalConsistencyError(WeakdepError):
 
 class ConfigError(WeakdepError, ValueError):
     """Experiment configuration could not be parsed or validated."""
+
+
+def check_replications(R: int, what: str) -> None:
+    """Every Monte Carlo estimate (``what``) needs R >= 1000 replications."""
+    if R < 1000:
+        raise PreconditionError(f"{what} needs R >= 1000")

@@ -11,10 +11,16 @@ by coupling constructions, and auxiliary streams (>= 2) reserved for
 centering pre-passes and nested Monte Carlo.  ``channel`` separates
 multiple draws needed at the same time index (e.g. rotation angle and
 log-gain of a matrix increment).
+
+Values are produced in fixed key blocks of at most ``KEY_BLOCK`` keys, so
+every temporary stays cache-sized however large the request.  A word
+depends on its key alone, so blocked values are bit-identical to a
+one-shot hash of the same keys.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +32,7 @@ __all__ = [
     "SERIES_BASE",
     "SERIES_PRIME",
     "SERIES_AUX",
+    "KEY_BLOCK",
     "InnovationLaw",
     "InnovationWindow",
     "LAWS",
@@ -41,6 +48,9 @@ __all__ = [
 SERIES_BASE = 0
 SERIES_PRIME = 1
 SERIES_AUX = 2
+
+# keys hashed per call: 2^16 uint64 words (512 KiB) fit in L2
+KEY_BLOCK = 1 << 16
 
 # splitmix64 constants
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -191,8 +201,25 @@ def get_law(kind) -> InnovationLaw:
 
 
 def law_values(law, seed, replication, series, times, channel=0) -> np.ndarray:
-    """Innovation values for the given key(s); broadcasts like raw_words."""
-    return get_law(law).sample(raw_words(seed, replication, series, times, channel))
+    """Innovation values for the given key(s); broadcasts like raw_words.
+
+    A key block larger than ``KEY_BLOCK`` is hashed and transformed in
+    row slices along its first axis."""
+    law = get_law(law)
+    keys = (seed, replication, series, times, channel)
+    shape = np.broadcast_shapes(*map(np.shape, keys))
+    if math.prod(shape) <= KEY_BLOCK:
+        return law.sample(raw_words(*keys))
+    rows = max(1, KEY_BLOCK // math.prod(shape[1:]))
+    # only keys that vary along the first axis are sliced; the others
+    # broadcast against every slice
+    keys = [np.asarray(k) for k in keys]
+    out = np.empty(shape)
+    for i in range(0, shape[0], rows):
+        block = [k[i:i + rows] if k.ndim == len(shape) and len(k) > 1 else k
+                 for k in keys]
+        out[i:i + rows] = law.sample(raw_words(*block))
+    return out
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,6 +47,7 @@ from scipy.special import zeta as hurwitz_zeta
 
 from .errors import ModelMismatchError, PreconditionError
 from .innovations import (
+    KEY_BLOCK,
     SERIES_AUX,
     SERIES_BASE,
     InnovationLaw,
@@ -474,6 +474,15 @@ def _doubling_observable(name: str) -> _DoublingObservable:
         ) from None
 
 
+def _step_blocks(nreps: int, n: int):
+    """Steps 1..n in blocks of at most KEY_BLOCK // nreps steps (one at
+    least).  One hash call covers a block for every replication, as a
+    (steps, nreps) array with one contiguous row per step."""
+    steps = max(1, KEY_BLOCK // nreps)
+    for k0 in range(1, n + 1, steps):
+        yield np.arange(k0, min(k0 + steps, n + 1))
+
+
 def _pack_bits(values: np.ndarray, nbits: int) -> np.ndarray:
     """Pack (..., J>=nbits) newest-first 0/1 values into integers with the
     newest bit at position nbits-1 (exact, no float rounding)."""
@@ -509,10 +518,12 @@ class _DoublingRegister(_WindowModel):
         shift_in = np.uint64(nbits - 1)
         mask = (np.uint64(1) << np.uint64(nbits)) - np.uint64(1) \
             if nbits < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-        for k in range(1, n + 1):
-            bit = raw_words(seed, reps, SERIES_BASE, k) >> np.uint64(63)
-            w = ((w >> np.uint64(1)) | (bit << shift_in)) & mask
-            out[:, k - 1] = self.register_value(w)
+        for ks in _step_blocks(len(reps), n):
+            bits = raw_words(seed, reps, SERIES_BASE, ks[:, None]) \
+                >> np.uint64(63)
+            for k, bit in zip(ks, bits):
+                w = ((w >> np.uint64(1)) | (bit << shift_in)) & mask
+                out[:, k - 1] = self.register_value(w)
         return out
 
 
@@ -593,11 +604,13 @@ class GLdWalkModel:
         # matrix entries are built from uniforms internally
         return get_law("centered-uniform")
 
-    def log_gains(self, seed, replications, series=SERIES_BASE, start=None):
+    def log_gains(self, seed, replications, n, series=SERIES_BASE,
+                  start=None):
         """The uncentered increments log||g_k y_{k-1}||, one array per step
-        k = 1, 2, ... (an endless generator; the caller stops it).
+        k = 1..n (a generator of exactly n arrays).
 
-        (phi_k, lam_k) are keyed by (seed, replication, series, k).
+        (phi_k, lam_k) are keyed by (seed, replication, series, k) and
+        hashed for a block of steps at a time.
         ``start`` holds unit start directions of shape
         (..., len(replications), d); leading axes are chains driven by the
         same matrices.  The default is the quenched start e1.
@@ -609,29 +622,30 @@ class GLdWalkModel:
         else:
             y = np.array(start, dtype=np.float64, order="C")
         flat = y.reshape(-1, self.d)  # a view: y stays C-contiguous
-        for k in count(1):
-            u_phi = (raw_words(seed, reps, series, k, channel=0)
+        for ks in _step_blocks(len(reps), n):
+            u_phi = (raw_words(seed, reps, series, ks[:, None], channel=0)
                      >> np.uint64(11)) * 2.0 ** -53
-            u_lam = (raw_words(seed, reps, series, k, channel=1)
+            u_lam = (raw_words(seed, reps, series, ks[:, None], channel=1)
                      >> np.uint64(11)) * 2.0 ** -53
-            phi = 2.0 * np.pi * u_phi
-            lam = self.lambda_max * (2.0 * u_lam - 1.0)
-            # rotations preserve the norm, so the gain is ||D y||
-            y[..., 0] *= np.exp(lam)
-            y[..., 1] *= np.exp(-lam)
-            norm = np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(
-                y.shape[:-1])
-            y /= norm[..., None]
-            c, s = np.cos(phi), np.sin(phi)
-            y0 = c * y[..., 0] - s * y[..., 1]
-            y1 = s * y[..., 0] + c * y[..., 1]
-            y[..., 0], y[..., 1] = y0, y1
-            yield np.log(norm)
+            for phi_u, lam_u in zip(u_phi, u_lam):
+                phi = 2.0 * np.pi * phi_u
+                lam = self.lambda_max * (2.0 * lam_u - 1.0)
+                # rotations preserve the norm, so the gain is ||D y||
+                y[..., 0] *= np.exp(lam)
+                y[..., 1] *= np.exp(-lam)
+                norm = np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(
+                    y.shape[:-1])
+                y /= norm[..., None]
+                c, s = np.cos(phi), np.sin(phi)
+                y0 = c * y[..., 0] - s * y[..., 1]
+                y1 = s * y[..., 0] + c * y[..., 1]
+                y[..., 0], y[..., 1] = y0, y1
+                yield np.log(norm)
 
     def paths(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
         out = np.empty((len(reps), n))
         mu = _gl_centering(self, seed, n)
-        for k, gain in enumerate(islice(self.log_gains(seed, reps), n)):
+        for k, gain in enumerate(self.log_gains(seed, reps, n)):
             out[:, k] = gain - mu[k]
         return out
 
@@ -641,7 +655,7 @@ class GLdWalkModel:
 
         def walk(chunk):
             acc = np.zeros(len(chunk))
-            for gain in islice(self.log_gains(seed, chunk), n):
+            for gain in self.log_gains(seed, chunk, n):
                 acc += gain
             return acc - mu_total
         return _by_chunks(reps, n * self.d, walk)
@@ -688,9 +702,9 @@ def gl_center_profile(model: GLdWalkModel, seed) -> np.ndarray:
         mu[0] = 0.0
     else:
         gains = model.log_gains(seed, np.arange(model.center_reps),
-                                SERIES_AUX)
+                                model.burn_in, SERIES_AUX)
         mu = np.zeros(model.burn_in + 1)
-        mu[:-1] = [g.mean() for g in islice(gains, model.burn_in)]
+        mu[:-1] = [g.mean() for g in gains]
         mu[-1] = mu[model.burn_in // 2:model.burn_in].mean()
     mu.setflags(write=False)
     _GL_CENTER_CACHE[key] = mu

@@ -264,8 +264,15 @@ RATE_GRID = [4, 8, 16, 32]
     ("bedist", BASE["model"], {"n": 16, "R": 100}, EXIT_PRECONDITION),
     ("rate", BASE["model"],
      {"n_grid": RATE_GRID, "R": 0, "method": "closed-form"}, EXIT_OK),
+    ("depcoef", BASE["model"], {"l_grid": [1, 2, 4, 8], "R": 100},
+     EXIT_PRECONDITION),
+    ("assumptions", BASE["model"],
+     {"l_grid": [1, 2, 3, 4, 5, 6, 7, 8], "R": 100}, EXIT_PRECONDITION),
+    ("blocks", BASE["model"],
+     {"n": 14, "m": 2, "K": 16, "degeneracy_R": 100}, EXIT_PRECONDITION),
 ], ids=["unknown-method", "unknown-normalization", "monte-carlo-R",
-        "bedist-R", "closed-form-R-0"])
+        "bedist-R", "closed-form-R-0", "depcoef-R", "assumptions-R",
+        "blocks-degeneracy-R"])
 def test_validate_and_run_agree_on_rate_params(tmp_path, task, model, params,
                                                expected):
     path = _write(tmp_path, {**BASE, "model": model, "task": task,

@@ -156,6 +156,8 @@ def test_holder_transfer_bound():
 def test_gl_surrogate_trivial_cases():
     m = GLdWalkModel(d=2, lambda_max=1.0)
     assert theta_gl_surrogate(m, 0, 2.0, R=1000) == (0.0, 0.0)
+    with pytest.raises(PreconditionError):
+        theta_gl_surrogate(m, -1, 2.0, R=1000)
     rot = GLdWalkModel(d=2, lambda_max=0.0)
     v, _ = theta_gl_surrogate(rot, 5, 2.0, R=2000)
     assert v == pytest.approx(0.0, abs=1e-12)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from weakdep import innovations
 from weakdep.errors import PreconditionError
 from weakdep.innovations import (
+    KEY_BLOCK,
     LAWS,
     SERIES_BASE,
     SERIES_PRIME,
@@ -161,3 +163,44 @@ def test_unknown_law_rejected():
         get_law("cauchy")
     assert set(LAWS) == {"standard-gaussian", "rademacher",
                         "centered-uniform", "raw-bit"}
+
+
+# (replication, times, channel) keys: an over-budget (301, 4609) block
+# whose last row slice is ragged, the same block on channel 1, a block
+# spanned by a channel column, scalar keys, and long 1-D keys on either
+# side
+BLOCK_KEYS = {
+    "block": (np.arange(301)[:, None], np.arange(-4000, 609), 0),
+    "block-channel-1": (np.arange(301)[:, None], np.arange(-4000, 609), 1),
+    "channel-column": (3, np.arange(5000), np.arange(20)[:, None]),
+    "scalar": (3, 7, 0),
+    "times-1d": (3, np.arange(-5, 200_000), 0),
+    "reps-1d": (np.arange(70_001), 4, 0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BLOCK_KEYS))
+@pytest.mark.parametrize("kind", sorted(LAWS))
+def test_law_values_blocked_equal_one_shot(kind, key):
+    rep, times, channel = BLOCK_KEYS[key]
+    one_shot = get_law(kind).sample(
+        raw_words(11, rep, SERIES_BASE, times, channel))
+    blocked = law_values(kind, 11, rep, SERIES_BASE, times, channel)
+    assert blocked.shape == one_shot.shape
+    assert blocked.tobytes() == one_shot.tobytes()
+
+
+def test_law_values_hash_calls_stay_within_key_block(monkeypatch):
+    sizes = []
+
+    def counted(*args, **kwargs):
+        words = raw_words(*args, **kwargs)
+        sizes.append(words.size)
+        return words
+    monkeypatch.setattr(innovations, "raw_words", counted)
+    law_values("rademacher", 11, np.arange(301)[:, None], SERIES_BASE,
+               np.arange(4609))
+    assert sum(sizes) == 301 * 4609
+    assert max(sizes) <= KEY_BLOCK
+    # 14 rows of 4609 keys fit in a block: 21 full slices and one of 7
+    assert len(sizes) == 22 and sizes[-1] == 7 * 4609

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from weakdep import processes
+from weakdep.dependence import theta_gl_surrogate
 from weakdep.errors import ModelMismatchError, PreconditionError
-from weakdep.innovations import InnovationWindow, draw_window, get_law, law_values
+from weakdep.innovations import (
+    KEY_BLOCK,
+    InnovationWindow,
+    draw_window,
+    get_law,
+    law_values,
+    raw_words,
+)
 from weakdep.processes import (
     DifferenceScheme,
     DoublingModel,
@@ -269,3 +278,58 @@ def test_partial_sum_l2_growth_exponent():
         norms.append(np.sqrt(np.mean(s ** 2)))
     slope = np.polyfit(np.log(ns), np.log(norms), 1)[0]
     assert abs(slope - 0.5) <= 0.1
+
+
+# --------------------------------------------------------------------------
+# hashing work of the stateful step loops
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """(replications, words, channel) of every raw_words call that the
+    step loops in processes make."""
+    calls = []
+
+    def counted(seed, replication, series, times, channel=0):
+        words = raw_words(seed, replication, series, times, channel)
+        calls.append((len(replication), words.size, channel))
+        return words
+    monkeypatch.setattr(processes, "raw_words", counted)
+    return calls
+
+
+def _chunks(R: int, row_len: int) -> list[int]:
+    rows = max(1, processes._CHUNK_ELEMS // row_len)
+    return [min(rows, R - i) for i in range(0, R, rows)]
+
+
+def _block_count(n: int, nreps: int) -> int:
+    """Step blocks of n steps over nreps replications."""
+    return -(-n // max(1, KEY_BLOCK // nreps))
+
+
+@pytest.mark.parametrize("R, n", [(5000, 100), (50_000, 40)])
+def test_doubling_hashes_steps_in_blocks(hash_calls, R, n):
+    partial_sums(DoublingModel("cos2pi"), 3, np.arange(R), n)
+    assert sum(words for _, words, _ in hash_calls) == R * (n + 64)
+    for chunk in _chunks(R, n + 64):
+        mine = [c for c in hash_calls if c[0] == chunk]
+        assert len(mine) <= _block_count(n, chunk) + 1
+
+
+@pytest.mark.parametrize("R, n", [(5000, 100), (20_000, 120)])
+def test_gl_walk_hashes_steps_in_blocks(hash_calls, R, n):
+    partial_sums(GLdWalkModel(d=2), 3, np.arange(R), n)
+    assert sum(words for _, words, _ in hash_calls) == 2 * R * n
+    for chunk in _chunks(R, 2 * n):
+        for channel in (0, 1):
+            mine = [c for c in hash_calls if c[0] == chunk
+                    and c[2] == channel]
+            assert len(mine) <= _block_count(n, chunk)
+
+
+def test_gl_surrogate_hashes_exactly_k_steps(hash_calls):
+    R, k = 3000, 23
+    theta_gl_surrogate(GLdWalkModel(d=2), k, 2.0, R=R, seed=1)
+    assert sum(words for _, words, _ in hash_calls) == 2 * R * k
+    assert len(hash_calls) == 2 * _block_count(k, R)
