@@ -6,6 +6,12 @@ manifest.  Identical (config, seed) runs reproduce every output file
 bit-exactly, independent of thread count.  Exit codes: 0 success,
 1 runtime failure, 2 config parse error, 3 precondition violation,
 4 degenerate variance.
+
+Each task is one function ``_task_<name>(cfg, model)``, the only code
+that reads that task's params.  It reads them once, with their defaults,
+makes every check the task makes before computing, and returns
+``run(writer) -> summary``.  ``validate`` is that function stopped
+before ``run``; ``run`` goes on.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from .blocks import (
 )
 from .dependence import (
     AssumptionSpec,
-    _window_depth,
+    check_assumption_grid,
     check_assumptions,
+    check_theta,
     dependence_profile,
     profile_closed_form,
 )
@@ -55,7 +62,6 @@ from .processes import (
 )
 from .rates import fit_rate, rate_route, run_rate_experiment
 from .variance import (
-    VarianceReport,
     _autocov_method,
     autocovariance,
     longrun_variance,
@@ -69,16 +75,6 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_DEGENERATE = 4
 
-TASKS = ("depcoef", "variance", "bedist", "rate", "blocks",
-         "counterexample", "assumptions")
-
-# params a task reads without a default
-_REQUIRED_PARAMS = {"rate": ("n_grid",), "counterexample": ("n_grid",),
-                    "bedist": ("n",), "blocks": ("n", "m")}
-
-_DEFAULT_L_GRIDS = {"depcoef": [1, 2, 4, 8, 16, 32, 64],
-                    "assumptions": [1, 2, 4, 8, 16, 32, 64, 128]}
-
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -88,21 +84,18 @@ def _build_scheme(spec: dict):
     if not isinstance(spec, dict) or "variant" not in spec:
         raise ConfigError("scheme spec must be an object with a 'variant'")
     v = spec["variant"]
-    try:
-        if v == "explicit":
-            return ExplicitScheme(tuple(float(a) for a in spec["alpha"]))
-        if v == "power-law":
-            return PowerLawScheme(a=float(spec["a"]),
-                                  length=int(spec.get("length", 4096)))
-        if v == "geometric":
-            return GeometricScheme(rho=float(spec["rho"]),
-                                   length=int(spec.get("length", 128)))
-        if v == "difference":
-            return DifferenceScheme(kind=spec.get("kind", "power"),
-                                    beta=float(spec.get("beta", 0.25)),
-                                    length=int(spec.get("length", 4096)))
-    except KeyError as exc:
-        raise ConfigError(f"scheme variant {v!r} is missing field {exc}")
+    if v == "explicit":
+        return ExplicitScheme(tuple(float(a) for a in spec["alpha"]))
+    if v == "power-law":
+        return PowerLawScheme(a=float(spec["a"]),
+                              length=int(spec.get("length", 4096)))
+    if v == "geometric":
+        return GeometricScheme(rho=float(spec["rho"]),
+                               length=int(spec.get("length", 128)))
+    if v == "difference":
+        return DifferenceScheme(kind=spec.get("kind", "power"),
+                                beta=float(spec.get("beta", 0.25)),
+                                length=int(spec.get("length", 4096)))
     raise ConfigError(f"unknown scheme variant {v!r}")
 
 
@@ -150,8 +143,9 @@ class ExperimentConfig:
             if req not in doc:
                 raise ConfigError(f"config missing required field {req!r}")
         task = doc["task"]
-        if task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+        if task not in _TASKS:
+            raise ConfigError(
+                f"task must be one of {tuple(_TASKS)}, got {task!r}")
         if not isinstance(doc["seed"], int):
             raise ConfigError("seed must be an integer")
         params = doc.get("params", {})
@@ -165,29 +159,24 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        """Fail-fast: build the model and check the task parameters and the
-        model's support for the task against module preconditions before
-        any computation starts.  A model the task cannot run is a
-        precondition violation (exit 3), never a runtime failure."""
-        p = self.params
-        missing = [k for k in _REQUIRED_PARAMS.get(self.task, ())
-                   if k not in p]
-        if missing:
-            raise ConfigError(f"task {self.task!r} needs params {missing}")
+        """Build the model and run the task up to its first computation:
+        read its params and make every check it makes before computing.
+        Returns the task's ``run(writer) -> summary``, which ``from_dict``
+        discards.  A model the task cannot run is a precondition violation
+        (exit 3); a missing field or a value that does not convert is a
+        config error (exit 2); neither is a runtime failure."""
         try:
-            model = build_model(self.model_spec)
-            if self.task == "assumptions":
-                # constructing the spec enforces b > B(p)
-                AssumptionSpec(p=float(p.get("p", 3.0)),
-                               a_exp=float(p.get("a", 1.0)),
-                               b_exp=float(p.get("b", 1.0)))
-            if self.task == "blocks":
-                make_layout(int(p["n"]), int(p["m"]))
-            _check_support(self.task, model, p)
+            return _TASKS[self.task](self, build_model(self.model_spec))
         except ModelMismatchError as exc:
             raise PreconditionError(
                 f"task {self.task!r} cannot run model "
                 f"{self.model_spec['variant']!r}: {exc}") from None
+        except WeakdepError:
+            raise
+        except KeyError as exc:
+            raise ConfigError(f"config is missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config has a bad value: {exc}") from None
 
     def canonical(self) -> str:
         # results do not depend on the thread count, so neither does
@@ -199,56 +188,6 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
-
-
-def _l_grid(task: str, params: dict) -> list[int]:
-    return [int(l) for l in params.get("l_grid", _DEFAULT_L_GRIDS[task])]
-
-
-def _profile_R(params: dict) -> int:
-    return int(params.get("R", 20000))
-
-
-def _closed_form_profile(model, params: dict) -> bool:
-    return params.get("mode") == "closed-form" \
-        and _autocov_method(model) == "exact-linear"
-
-
-def _rate_curves(task: str, params: dict) -> list[dict]:
-    """``run_rate_experiment`` arguments per curve of the task; the
-    counterexample runs both normalizations in closed form."""
-    if task == "counterexample":
-        return [{"n_grid": params["n_grid"], "R": 0, "normalization": norm,
-                 "method": "closed-form"} for norm in NORMALIZATIONS]
-    norms = params.get("normalization", "sqrt-n-ss2")
-    return [{"n_grid": params["n_grid"], "R": int(params.get("R", 100000)),
-             "normalization": norm, "method": params.get("method", "auto")}
-            for norm in ([norms] if isinstance(norms, str) else norms)]
-
-
-def _check_support(task: str, model, params: dict):
-    """What the task's runner needs of the model and params: coupled
-    windows deep enough for every lag, an autocovariance method, a block
-    route, a rate route, or the preconditions of a Monte Carlo Delta_n;
-    every Monte Carlo estimate its replication floor."""
-    if task == "depcoef" or (task == "assumptions"
-                             and not _closed_form_profile(model, params)):
-        for l in _l_grid(task, params):
-            _window_depth(model, l)
-        check_replications(_profile_R(params), "theta_mc")
-    elif task == "variance":
-        _autocov_method(model, params.get("method", "auto"))
-    elif task == "blocks":
-        block_mode(model, int(params["m"]), params.get("mode", "auto"))
-        if "degeneracy_R" in params:
-            check_replications(int(params["degeneracy_R"]),
-                               "degeneracy_probability")
-    elif task in ("rate", "counterexample"):
-        for curve in _rate_curves(task, params):
-            rate_route(model, **curve)
-    elif task == "bedist":
-        check_estimate(params.get("normalization", "sqrt-n-ss2"),
-                       int(params.get("R", 100000)))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -391,164 +330,217 @@ def _fit_dict(fit):
 # tasks
 # ---------------------------------------------------------------------------
 
-def _task_rate(cfg, model, writer):
-    all_rows, curves, fits = [], {}, {}
-    for curve in _rate_curves("rate", cfg.params):
-        norm = curve["normalization"]
-        ests = run_rate_experiment(model, seed=cfg.seed,
-                                   threads=cfg.threads, **curve)
-        all_rows.extend(_estimate_row(e) for e in ests)
-        curves[norm] = [(e.n, e.delta, e.low, e.high) for e in ests]
-        try:
-            fits[norm] = _fit_dict(fit_rate(ests))
-        except PreconditionError as exc:
-            fits[norm] = {"error": str(exc)}
-    writer.write_csv(f"{cfg.name}-rate.csv", _EST_HEADER, all_rows)
-    writer.write_json(f"{cfg.name}-ratefit.json", fits)
-    emit_plotdata(writer, f"{cfg.name}-rate", curves)
-    return {"fits": fits}
+def _count_param(params: dict, name: str, default: int | None = None) -> int:
+    """Integer param ``name``, required when there is no default; >= 1."""
+    value = int(params[name] if default is None
+                else params.get(name, default))
+    if value < 1:
+        raise PreconditionError(f"{name} must be >= 1")
+    return value
 
 
-def _task_counterexample(cfg, model, writer):
+def _task_rate(cfg, model):
+    p = cfg.params
+    norms = p.get("normalization", "sqrt-n-ss2")
+    curves = [{"n_grid": p["n_grid"], "R": int(p.get("R", 100000)),
+               "normalization": norm, "method": p.get("method", "auto")}
+              for norm in ([norms] if isinstance(norms, str) else norms)]
+    for curve in curves:
+        rate_route(model, **curve)
+
+    def run(writer):
+        all_rows, plots, fits = [], {}, {}
+        for curve in curves:
+            norm = curve["normalization"]
+            ests = run_rate_experiment(model, seed=cfg.seed,
+                                       threads=cfg.threads, **curve)
+            all_rows.extend(_estimate_row(e) for e in ests)
+            plots[norm] = [(e.n, e.delta, e.low, e.high) for e in ests]
+            try:
+                fits[norm] = _fit_dict(fit_rate(ests))
+            except PreconditionError as exc:
+                fits[norm] = {"error": str(exc)}
+        writer.write_csv(f"{cfg.name}-rate.csv", _EST_HEADER, all_rows)
+        writer.write_json(f"{cfg.name}-ratefit.json", fits)
+        emit_plotdata(writer, f"{cfg.name}-rate", plots)
+        return {"fits": fits}
+    return run
+
+
+def _task_counterexample(cfg, model):
     """Both normalizations of the slow-rate construction: closed-form
     decay under sqrt(n ss^2), exact zero under sqrt(E S_n^2)."""
-    ests_ss, ests_es = (
-        run_rate_experiment(model, seed=cfg.seed, threads=cfg.threads,
-                            **curve)
-        for curve in _rate_curves("counterexample", cfg.params))
-    fit = fit_rate(ests_ss)
-    rows = [_estimate_row(e) for e in ests_ss + ests_es]
-    writer.write_csv(f"{cfg.name}-delta.csv", _EST_HEADER, rows)
-    out = {"fit_sqrt_n_ss2": _fit_dict(fit),
-           "max_delta_sqrt_ESn2": max(e.delta for e in ests_es)}
-    writer.write_json(f"{cfg.name}-ratefit.json", out)
-    emit_plotdata(writer, f"{cfg.name}",
-                  {"sqrt-n-ss2": [(e.n, e.delta, e.low, e.high)
-                                  for e in ests_ss]})
-    return out
+    curves = [{"n_grid": cfg.params["n_grid"], "R": 0,
+               "normalization": norm, "method": "closed-form"}
+              for norm in NORMALIZATIONS]
+    for curve in curves:
+        rate_route(model, **curve)
+
+    def run(writer):
+        ests_ss, ests_es = (
+            run_rate_experiment(model, seed=cfg.seed, threads=cfg.threads,
+                                **curve)
+            for curve in curves)
+        fit = fit_rate(ests_ss)
+        rows = [_estimate_row(e) for e in ests_ss + ests_es]
+        writer.write_csv(f"{cfg.name}-delta.csv", _EST_HEADER, rows)
+        out = {"fit_sqrt_n_ss2": _fit_dict(fit),
+               "max_delta_sqrt_ESn2": max(e.delta for e in ests_es)}
+        writer.write_json(f"{cfg.name}-ratefit.json", out)
+        emit_plotdata(writer, f"{cfg.name}",
+                      {"sqrt-n-ss2": [(e.n, e.delta, e.low, e.high)
+                                      for e in ests_ss]})
+        return out
+    return run
 
 
-def _task_bedist(cfg, model, writer):
+def _task_bedist(cfg, model):
     p = cfg.params
-    est = empirical_delta(model, int(p["n"]), int(p.get("R", 100000)),
-                          p.get("normalization", "sqrt-n-ss2"),
-                          seed=cfg.seed)
-    writer.write_csv(f"{cfg.name}-bedist.csv", _EST_HEADER,
-                     [_estimate_row(est)])
-    return {"delta": est.delta, "low": est.low, "high": est.high}
+    n, R = _count_param(p, "n"), int(p.get("R", 100000))
+    norm = p.get("normalization", "sqrt-n-ss2")
+    check_estimate(norm, R)
+
+    def run(writer):
+        est = empirical_delta(model, n, R, norm, seed=cfg.seed)
+        writer.write_csv(f"{cfg.name}-bedist.csv", _EST_HEADER,
+                         [_estimate_row(est)])
+        return {"delta": est.delta, "low": est.low, "high": est.high}
+    return run
 
 
-def _task_depcoef(cfg, model, writer):
+def _task_depcoef(cfg, model):
     p = cfg.params
-    prof = dependence_profile(model, float(p.get("p", 2.0)),
-                              _l_grid("depcoef", p),
-                              _profile_R(p), seed=cfg.seed)
-    rows = [[e.l, f"{e.theta_prime:.12g}", f"{e.theta_star:.12g}",
-             f"{e.se_prime:.12g}", f"{e.se_star:.12g}"]
-            for e in prof.entries]
-    writer.write_csv(f"{cfg.name}-depcoef.csv",
-                     ["l", "theta_prime", "theta_star", "se_prime",
-                      "se_star"], rows)
-    emit_plotdata(writer, f"{cfg.name}-depcoef", {
-        "theta-prime": [(e.l, e.theta_prime,
-                         max(e.theta_prime - e.se_prime, 0.0),
-                         e.theta_prime + e.se_prime) for e in prof.entries],
-        "theta-star": [(e.l, e.theta_star,
-                        max(e.theta_star - e.se_star, 0.0),
-                        e.theta_star + e.se_star) for e in prof.entries],
-    })
-    return {"entries": len(prof.entries)}
+    power, R = float(p.get("p", 2.0)), int(p.get("R", 20000))
+    grid = [int(l) for l in p.get("l_grid", [1, 2, 4, 8, 16, 32, 64])]
+    for l in grid:
+        check_theta(model, l, power, R)
+
+    def run(writer):
+        prof = dependence_profile(model, power, grid, R, seed=cfg.seed)
+        rows = [[e.l, f"{e.theta_prime:.12g}", f"{e.theta_star:.12g}",
+                 f"{e.se_prime:.12g}", f"{e.se_star:.12g}"]
+                for e in prof.entries]
+        writer.write_csv(f"{cfg.name}-depcoef.csv",
+                         ["l", "theta_prime", "theta_star", "se_prime",
+                          "se_star"], rows)
+        emit_plotdata(writer, f"{cfg.name}-depcoef", {
+            "theta-prime": [(e.l, e.theta_prime,
+                             max(e.theta_prime - e.se_prime, 0.0),
+                             e.theta_prime + e.se_prime)
+                            for e in prof.entries],
+            "theta-star": [(e.l, e.theta_star,
+                            max(e.theta_star - e.se_star, 0.0),
+                            e.theta_star + e.se_star) for e in prof.entries],
+        })
+        return {"entries": len(prof.entries)}
+    return run
 
 
-def _task_variance(cfg, model, writer):
+def _task_variance(cfg, model):
     p = cfg.params
-    K = int(p.get("K", 64))
-    n = int(p.get("n", 1024))
-    m = int(p.get("m", 16))
-    table = autocovariance(model, K=K, method=p.get("method", "auto"),
-                           R=int(p.get("R", 4096)), seed=cfg.seed)
-    lrv = longrun_variance(table)
-    s_n2 = sum_variance(model, n, seed=cfg.seed) / n
-    sh = sigma_hat_m(table, m)
-    report = VarianceReport(ss2=lrv.value, s_n2=s_n2, sigma_hat_m2=sh.value,
-                            n=n, m=m, note=lrv.note,
-                            extra={"sigma_hat_residual": sh.residual,
-                                   "series": lrv.series, "tail": lrv.tail})
-    writer.write_csv(f"{cfg.name}-autocov.csv", ["k", "gamma", "stderr"],
-                     [[k, f"{table.gamma[k]:.12g}", f"{table.stderr[k]:.12g}"]
-                      for k in range(len(table.gamma))])
-    doc = {"ss2": report.ss2, "s_n2": report.s_n2,
-           "sigma_hat_m2": report.sigma_hat_m2, "n": n, "m": m,
-           "note": report.note, **report.extra}
-    writer.write_json(f"{cfg.name}-variance.json", doc)
-    return doc
+    K, n, m = (_count_param(p, "K", 64), _count_param(p, "n", 1024),
+               _count_param(p, "m", 16))
+    method, R = p.get("method", "auto"), int(p.get("R", 4096))
+    _autocov_method(model, method)
+
+    def run(writer):
+        table = autocovariance(model, K=K, method=method, R=R, seed=cfg.seed)
+        lrv = longrun_variance(table)
+        s_n2 = sum_variance(model, n, seed=cfg.seed) / n
+        sh = sigma_hat_m(table, m)
+        writer.write_csv(f"{cfg.name}-autocov.csv", ["k", "gamma", "stderr"],
+                         [[k, f"{table.gamma[k]:.12g}",
+                           f"{table.stderr[k]:.12g}"]
+                          for k in range(len(table.gamma))])
+        doc = {"ss2": lrv.value, "s_n2": s_n2, "sigma_hat_m2": sh.value,
+               "n": n, "m": m, "note": lrv.note,
+               "sigma_hat_residual": sh.residual, "series": lrv.series,
+               "tail": lrv.tail}
+        writer.write_json(f"{cfg.name}-variance.json", doc)
+        return doc
+    return run
 
 
-def _task_blocks(cfg, model, writer):
+def _task_blocks(cfg, model):
     p = cfg.params
     layout = make_layout(int(p["n"]), int(p["m"]))
-    reps = int(p.get("replications", 1))
-    records = []
-    for r in range(reps):
-        d = conditional_variances(model, layout, replication=r,
-                                  seed=cfg.seed, mode=p.get("mode", "auto"),
-                                  K=int(p.get("K", 256)))
-        records.append({
-            "n": layout.n, "m": layout.m, "N": layout.N,
-            "replication": r, "mode": d.mode,
-            "sigma_j": list(map(float, d.sigma_j)),
-            "sigma_given_m": d.sigma_given_m,
-            "sigma_bar_m2": d.sigma_bar_m2,
-            "varsigma_bar_m2": d.varsigma_bar_m2,
-            "ss_nm2": d.ss_nm2,
-            "identity_residual": d.identity_residual,
-        })
-    freq = None
+    mode = block_mode(model, layout.m, p.get("mode", "auto"))
+    reps, K = int(p.get("replications", 1)), int(p.get("K", 256))
+    degeneracy_R = None
     if "degeneracy_R" in p:
-        freq = degeneracy_probability(model, layout,
-                                      R=int(p["degeneracy_R"]),
-                                      seed=cfg.seed)
-    doc = {"records": records, "degeneracy_frequency": freq}
-    writer.write_json(f"{cfg.name}-blocks.json", doc)
-    return doc
+        degeneracy_R = int(p["degeneracy_R"])
+        check_replications(degeneracy_R, "degeneracy_probability")
+
+    def run(writer):
+        records = []
+        for r in range(reps):
+            d = conditional_variances(model, layout, replication=r,
+                                      seed=cfg.seed, mode=mode, K=K)
+            records.append({
+                "n": layout.n, "m": layout.m, "N": layout.N,
+                "replication": r, "mode": d.mode,
+                "sigma_j": list(map(float, d.sigma_j)),
+                "sigma_given_m": d.sigma_given_m,
+                "sigma_bar_m2": d.sigma_bar_m2,
+                "varsigma_bar_m2": d.varsigma_bar_m2,
+                "ss_nm2": d.ss_nm2,
+                "identity_residual": d.identity_residual,
+            })
+        freq = None
+        if degeneracy_R is not None:
+            freq = degeneracy_probability(model, layout, R=degeneracy_R,
+                                          seed=cfg.seed)
+        doc = {"records": records, "degeneracy_frequency": freq}
+        writer.write_json(f"{cfg.name}-blocks.json", doc)
+        return doc
+    return run
 
 
-def _task_assumptions(cfg, model, writer):
+def _task_assumptions(cfg, model):
     p = cfg.params
+    # constructing the spec enforces b > B(p)
     spec = AssumptionSpec(p=float(p.get("p", 3.0)),
                           a_exp=float(p.get("a", 1.0)),
                           b_exp=float(p.get("b", 1.0)))
-    grid = _l_grid("assumptions", p)
-    if _closed_form_profile(model, p):
-        prof = profile_closed_form(model.scheme, grid)
+    grid = [int(l) for l in
+            p.get("l_grid", [1, 2, 4, 8, 16, 32, 64, 128])]
+    check_assumption_grid(grid)
+    if p.get("mode") == "closed-form" \
+            and _autocov_method(model) == "exact-linear":
+        profile = lambda: profile_closed_form(model.scheme, grid)
     else:
-        prof = dependence_profile(model, spec.p, grid,
-                                  _profile_R(p), seed=cfg.seed)
-    report = check_assumptions(prof, spec)
-    doc = report.to_dict()
-    writer.write_json(f"{cfg.name}-assumptions.json", doc)
-    return doc
+        R = int(p.get("R", 20000))
+        for l in grid:
+            check_theta(model, l, spec.p, R)
+        profile = lambda: dependence_profile(model, spec.p, grid, R,
+                                             seed=cfg.seed)
+
+    def run(writer):
+        doc = check_assumptions(profile(), spec).to_dict()
+        writer.write_json(f"{cfg.name}-assumptions.json", doc)
+        return doc
+    return run
 
 
-_TASK_RUNNERS = {
-    "rate": _task_rate,
-    "counterexample": _task_counterexample,
-    "bedist": _task_bedist,
+# the tasks a config may name, in the order from_dict lists them
+_TASKS = {
     "depcoef": _task_depcoef,
     "variance": _task_variance,
+    "bedist": _task_bedist,
+    "rate": _task_rate,
     "blocks": _task_blocks,
+    "counterexample": _task_counterexample,
     "assumptions": _task_assumptions,
 }
 
 
 def run_config(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
-    """Execute a validated config; returns the manifest dictionary."""
-    out = out_dir or cfg.out_dir or os.environ.get("WEAKDEP_OUT",
-                                                   "weakdep-out")
-    writer = _OutputWriter(out)
-    model = build_model(cfg.model_spec)
+    """Execute a config; returns the manifest dictionary."""
+    run = cfg.validate()
+    writer = _OutputWriter(out_dir or cfg.out_dir
+                           or os.environ.get("WEAKDEP_OUT", "weakdep-out"))
     start = time.time()
-    summary = _TASK_RUNNERS[cfg.task](cfg, model, writer)
+    summary = run(writer)
     manifest = {
         "config_digest": cfg.digest(),
         "artifact_version": __version__,

@@ -25,10 +25,12 @@ __all__ = [
     "DependenceProfile",
     "AssumptionSpec",
     "AssumptionReport",
+    "check_theta",
     "theta_mc",
     "theta_gl_surrogate",
     "dependence_profile",
     "profile_closed_form",
+    "check_assumption_grid",
     "check_assumptions",
 ]
 
@@ -78,18 +80,26 @@ class DependenceProfile:
         return np.array([e.l for e in self.entries])
 
 
-def _window_depth(model, l: int) -> int:
-    """Depth of the coupled windows for lag l: the model's own depth, with
-    long linear schemes cut at max(4(l + 1), 256) innovations."""
+def check_theta(model, l: int, p: float, R: int) -> int:
+    """Check a theta_mc estimate before computing it: a model with a
+    window readout, a lag 0 <= l inside the window, p >= 1 and
+    R >= 1000.  Returns the depth of the coupled windows for lag l: the
+    model's own, with long linear schemes cut at max(4(l + 1), 256)
+    innovations."""
     if not hasattr(model, "evaluate_values"):
         raise ModelMismatchError(
             f"{type(model).__name__} has no window readout to couple; "
             "the GL_d walk has theta_gl_surrogate")
+    if l < 0:
+        raise PreconditionError("lag must be >= 0")
     depth = min(model.required_depth, max(4 * (l + 1), 256))
     if l >= depth:
         raise PreconditionError(
             f"lag {l} outside evaluation window of depth {depth}; "
             "enlarge the window/model depth")
+    check_replications(R, "theta_mc")
+    if p < 1:
+        raise PreconditionError("p must be >= 1")
     return depth
 
 
@@ -108,12 +118,7 @@ def theta_mc(model, l: int, p: float, R: int, seed: int = 0,
     """Monte Carlo theta'_l(p), theta*_l(p) from coupled windows: the base
     and filtered evaluations share every innovation except the substituted
     ones, so the difference isolates the dependence on lag l."""
-    depth = _window_depth(model, l)
-    if l < 0:
-        raise PreconditionError("lag must be >= 0")
-    check_replications(R, "theta_mc")
-    if p < 1:
-        raise PreconditionError("p must be >= 1")
+    depth = check_theta(model, l, p, R)
     reps = (rep_start + np.arange(R))[:, None]
     times = l - np.arange(depth)  # window anchored at k = l
     base = law_values(model.law, seed, reps, SERIES_BASE, times)
@@ -264,6 +269,15 @@ def _verdict(ci, critical):
     return "inconclusive"
 
 
+def check_assumption_grid(l_grid) -> None:
+    """Check a lag grid before profiling it for ``check_assumptions``:
+    at least 8 lags, all >= 1."""
+    if len(l_grid) < 8:
+        raise PreconditionError("profile needs >= 8 grid entries")
+    if min(l_grid) < 1:
+        raise PreconditionError("assumption checks need lags >= 1")
+
+
 def check_assumptions(profile: DependenceProfile,
                       spec: AssumptionSpec) -> AssumptionReport:
     """Fit-based verdicts for the summability conditions.
@@ -273,11 +287,8 @@ def check_assumptions(profile: DependenceProfile,
     would be summable against l^b); analogously for theta*_l against a.
     """
     entries = profile.entries
-    if len(entries) < 8:
-        raise PreconditionError("profile needs >= 8 grid entries")
     lags = np.array([e.l for e in entries], dtype=float)
-    if np.any(lags < 1):
-        raise PreconditionError("assumption checks need lags >= 1")
+    check_assumption_grid(lags)
     tp = np.array([e.theta_prime for e in entries])
     ts = np.array([e.theta_star for e in entries])
     ps_prime = float(np.dot(lags ** spec.b_exp, tp))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, ndtri
@@ -107,23 +108,40 @@ def uniform01(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53 + 2.0**-54
 
 
-def _gaussian(words):
-    return ndtri(uniform01(words))
-
-
-def _rademacher(words):
-    return 1.0 - 2.0 * (words >> np.uint64(63)).astype(np.float64)
-
-
 _SQRT12 = np.sqrt(12.0)
 
 
-def _centered_uniform(words):
-    return (uniform01(words) - 0.5) * _SQRT12
+class _Law(NamedTuple):
+    sample: Callable          # raw words -> values
+    abs_moment: Callable      # p -> E |eps|^p
+    central_moment: Callable  # integer k -> E (eps - E eps)^k
 
 
-def _raw_bit(words):
-    return (words >> np.uint64(63)).astype(np.float64)
+# one row per law; every moment is analytic
+_LAWS = {
+    "standard-gaussian": _Law(
+        sample=lambda words: ndtri(uniform01(words)),
+        abs_moment=lambda p: float(np.exp(
+            0.5 * p * np.log(2.0) + gammaln((p + 1) / 2.0)
+            - 0.5 * np.log(np.pi))),
+        central_moment=lambda k: 0.0 if k % 2 else (
+            float(np.prod(np.arange(1, k, 2, dtype=float))) if k else 1.0)),
+    "rademacher": _Law(
+        sample=lambda words: 1.0 - 2.0 * (
+            words >> np.uint64(63)).astype(np.float64),
+        abs_moment=lambda p: 1.0,
+        central_moment=lambda k: 0.0 if k % 2 else 1.0),
+    # uniform on [-sqrt(3), sqrt(3)]
+    "centered-uniform": _Law(
+        sample=lambda words: (uniform01(words) - 0.5) * _SQRT12,
+        abs_moment=lambda p: float(3.0 ** (p / 2.0) / (p + 1.0)),
+        central_moment=lambda k: 0.0 if k % 2 else float(
+            3.0 ** (k / 2) / (k + 1.0))),
+    "raw-bit": _Law(
+        sample=lambda words: (words >> np.uint64(63)).astype(np.float64),
+        abs_moment=lambda p: 0.5,
+        central_moment=lambda k: 0.0 if k % 2 else 0.5 ** k),
+}
 
 
 @dataclass(frozen=True)
@@ -137,57 +155,20 @@ class InnovationLaw:
     kind: str
 
     def sample(self, words: np.ndarray) -> np.ndarray:
-        return _TRANSFORMS[self.kind](words)
-
-    @property
-    def mean(self) -> float:
-        return 0.5 if self.kind == "raw-bit" else 0.0
-
-    @property
-    def variance(self) -> float:
-        return 0.25 if self.kind == "raw-bit" else 1.0
+        return _LAWS[self.kind].sample(words)
 
     def abs_moment(self, p: float) -> float:
         """E |eps|^p, analytic."""
         if p <= 0:
             raise ValueError("p must be positive")
-        if self.kind == "standard-gaussian":
-            return float(np.exp(0.5 * p * np.log(2.0) + gammaln((p + 1) / 2.0)
-                                - 0.5 * np.log(np.pi)))
-        if self.kind == "rademacher":
-            return 1.0
-        if self.kind == "centered-uniform":
-            # |U| with U uniform on [-sqrt(3), sqrt(3)]
-            return float(3.0 ** (p / 2.0) / (p + 1.0))
-        if self.kind == "raw-bit":
-            return 0.5
-        raise ValueError(f"unknown law kind {self.kind!r}")
+        return _LAWS[self.kind].abs_moment(p)
 
     def central_moment(self, k: int) -> float:
         """E (eps - E eps)^k, analytic, for integer k."""
-        if self.kind == "standard-gaussian":
-            if k % 2:
-                return 0.0
-            return float(np.prod(np.arange(1, k, 2, dtype=float))) if k else 1.0
-        if self.kind == "rademacher":
-            return 0.0 if k % 2 else 1.0
-        if self.kind == "centered-uniform":
-            if k % 2:
-                return 0.0
-            return float(3.0 ** (k / 2) / (k + 1.0))
-        if self.kind == "raw-bit":
-            return 0.0 if k % 2 else 0.5 ** k
-        raise ValueError(f"unknown law kind {self.kind!r}")
+        return _LAWS[self.kind].central_moment(k)
 
 
-_TRANSFORMS = {
-    "standard-gaussian": _gaussian,
-    "rademacher": _rademacher,
-    "centered-uniform": _centered_uniform,
-    "raw-bit": _raw_bit,
-}
-
-LAWS = {kind: InnovationLaw(kind) for kind in _TRANSFORMS}
+LAWS = {kind: InnovationLaw(kind) for kind in _LAWS}
 
 
 def get_law(kind) -> InnovationLaw:

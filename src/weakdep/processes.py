@@ -361,17 +361,12 @@ class LinearModel(_LinearFilter):
         return LinearModel(self.scheme.truncate(m), self.law)
 
 
-_HOLDER_OBSERVABLES = ("cos-shift", "abs-center", "cube-clip")
-
-
-def _holder_f(observable: str, c: float, beta: float, y: np.ndarray) -> np.ndarray:
-    if observable == "cos-shift":
-        return c * np.cos(y + 1.0)
-    if observable == "abs-center":
-        return c * np.abs(y) ** beta
-    if observable == "cube-clip":
-        return c * np.clip(y, -1.0, 1.0) ** 3
-    raise ModelMismatchError(f"unknown observable {observable!r}")
+# f(y) of each Hoelder observable, with constant c and exponent beta
+_HOLDER_OBSERVABLES = {
+    "cos-shift": lambda c, beta, y: c * np.cos(y + 1.0),
+    "abs-center": lambda c, beta, y: c * np.abs(y) ** beta,
+    "cube-clip": lambda c, beta, y: c * np.clip(y, -1.0, 1.0) ** 3,
+}
 
 
 # fixed seed for the internal centering pre-pass; deterministic across runs
@@ -397,7 +392,7 @@ class HolderOfLinearModel(_LinearFilter):
     def __post_init__(self):
         if self.observable not in _HOLDER_OBSERVABLES:
             raise ModelMismatchError(
-                f"observable must be one of {_HOLDER_OBSERVABLES}")
+                f"observable must be one of {tuple(_HOLDER_OBSERVABLES)}")
         if not 0.0 < self.beta <= 1.0:
             raise PreconditionError("Hoelder exponent must lie in (0, 1]")
         super().__post_init__()
@@ -415,10 +410,12 @@ class HolderOfLinearModel(_LinearFilter):
         eps = law_values(self.law, _CENTER_SEED, reps, SERIES_AUX, times,
                          channel=_CH_CENTER)
         y = eps @ self.scheme.coefficients
-        return float(np.mean(_holder_f(self.observable, self.c, self.beta, y)))
+        f = _HOLDER_OBSERVABLES[self.observable]
+        return float(np.mean(f(self.c, self.beta, y)))
 
     def readout(self, y: np.ndarray) -> np.ndarray:
-        return _holder_f(self.observable, self.c, self.beta, y) - self.center
+        f = _HOLDER_OBSERVABLES[self.observable]
+        return f(self.c, self.beta, y) - self.center
 
     def truncation_error(self, J: int) -> float:
         # ||f(Y) - f(Y_J)||_2 <= c E[|D|^{2 beta}]^{1/2} <= c (E D^2)^{beta/2}

@@ -43,8 +43,9 @@ def rate_route(model, n_grid, R: int, normalization: str,
     Gaussian-linear models) or 'monte-carlo'.  Checks the grid and the
     route's preconditions, and computes nothing."""
     g = np.asarray(n_grid, dtype=np.int64)
-    if len(g) < 4 or np.any(g[1:] != 2 * g[:-1]):
-        raise PreconditionError("n-grid must be dyadic with >= 4 points")
+    if len(g) < 4 or g[0] < 1 or np.any(g[1:] != 2 * g[:-1]):
+        raise PreconditionError(
+            "n-grid must be dyadic with >= 4 points from n >= 1")
     closed = (_autocov_method(model) == "exact-linear"
               and model.law.kind == "standard-gaussian")
     if method == "auto":

@@ -10,7 +10,7 @@ cross-checked against the autocovariance identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,7 +26,6 @@ from .processes import CoefficientScheme, PowerLawScheme, partial_sums
 __all__ = [
     "AutocovarianceTable",
     "LongRunVariance",
-    "VarianceReport",
     "SigmaHatM",
     "autocovariance",
     "longrun_variance",
@@ -261,6 +260,8 @@ def sum_variance(model, n: int, seed: int = 0, R: int = 4096) -> float:
     """E S_n^2 for any model: exact where the model has an exact
     autocovariance oracle, Monte Carlo (reserved replication range)
     otherwise."""
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
     method = _autocov_method(model)
     if method == "exact-linear":
         return exact_sum_variance_linear(model.scheme, n)
@@ -313,16 +314,3 @@ def sigma_hat_m(table: AutocovarianceTable, m: int) -> SigmaHatM:
         raise InternalConsistencyError(
             f"sigma_hat_m identity residual {residual:.3e} > 1e-8")
     return SigmaHatM(value=float(lhs), residual=float(residual))
-
-
-@dataclass(frozen=True)
-class VarianceReport:
-    """Summary consumed by the CLI variance task."""
-
-    ss2: float
-    s_n2: float
-    sigma_hat_m2: float
-    n: int
-    m: int
-    note: str = ""
-    extra: dict = field(default_factory=dict)

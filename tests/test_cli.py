@@ -250,6 +250,7 @@ def test_validate_block_params(tmp_path):
 
 
 RADEMACHER = {**BASE["model"], "law": "rademacher"}
+CENTERED_X = {"variant": "doubling", "observable": "centered-x"}
 RATE_GRID = [4, 8, 16, 32]
 
 
@@ -270,12 +271,70 @@ RATE_GRID = [4, 8, 16, 32]
      {"l_grid": [1, 2, 3, 4, 5, 6, 7, 8], "R": 100}, EXIT_PRECONDITION),
     ("blocks", BASE["model"],
      {"n": 14, "m": 2, "K": 16, "degeneracy_R": 100}, EXIT_PRECONDITION),
+    ("bedist", BASE["model"], {"n": 0, "R": 1000}, EXIT_PRECONDITION),
+    ("variance", BASE["model"], {"K": 0, "n": 16, "m": 2},
+     EXIT_PRECONDITION),
+    ("variance", BASE["model"], {"K": 4, "n": 16, "m": 0},
+     EXIT_PRECONDITION),
+    ("variance", BASE["model"], {"K": 4, "n": 0, "m": 2},
+     EXIT_PRECONDITION),
+    ("variance", CENTERED_X, {"K": 4, "n": 0, "m": 2}, EXIT_PRECONDITION),
+    ("variance", CENTERED_X, {"K": 4, "n": -3, "m": 2}, EXIT_PRECONDITION),
+    ("depcoef", BASE["model"], {"l_grid": [1, 2], "R": 1000, "p": 0.5},
+     EXIT_PRECONDITION),
+    ("depcoef", BASE["model"], {"l_grid": [-1, 2], "R": 1000},
+     EXIT_PRECONDITION),
+    ("assumptions", BASE["model"], {"l_grid": [1, 2, 4, 8], "R": 1000},
+     EXIT_PRECONDITION),
+    ("rate", BASE["model"], {"n_grid": [0, 0, 0, 0]}, EXIT_PRECONDITION),
+    ("rate", RADEMACHER, {"n_grid": [-1, -2, -4, -8], "R": 1000},
+     EXIT_PRECONDITION),
+    ("counterexample", BASE["model"], {"n_grid": [0, 0, 0, 0]},
+     EXIT_PRECONDITION),
+    ("variance", {"variant": "linear"}, {"K": 4, "n": 16, "m": 2},
+     EXIT_PARSE),
+    ("variance", {"variant": "linear",
+                  "scheme": {"variant": "explicit", "alpha": ["a"]}},
+     {"K": 4, "n": 16, "m": 2}, EXIT_PARSE),
+    ("variance", BASE["model"], {"K": "four", "n": 16, "m": 2}, EXIT_PARSE),
 ], ids=["unknown-method", "unknown-normalization", "monte-carlo-R",
         "bedist-R", "closed-form-R-0", "depcoef-R", "assumptions-R",
-        "blocks-degeneracy-R"])
+        "blocks-degeneracy-R", "bedist-n-0", "variance-K-0", "variance-m-0",
+        "variance-n-0", "doubling-variance-n-0", "doubling-variance-n-neg",
+        "depcoef-p-below-1", "depcoef-negative-lag",
+        "assumptions-short-grid", "rate-grid-0",
+        "rate-grid-negative", "counterexample-grid-0", "model-no-scheme",
+        "scheme-alpha-not-a-number", "variance-K-not-a-number"])
 def test_validate_and_run_agree_on_rate_params(tmp_path, task, model, params,
                                                expected):
     path = _write(tmp_path, {**BASE, "model": model, "task": task,
                              "params": params})
     assert main(["validate", path]) == expected
     assert main(["run", path, "--out", str(tmp_path / "o")]) == expected
+
+
+def _usual_validate_cases():
+    """(config, usual validate exit code) for every preset and cell."""
+    cases = [(doc, EXIT_OK) for doc in PRESETS.values()]
+    for variant, model in CELL_MODELS.items():
+        for task, params in CELL_PARAMS.items():
+            doc = {"name": "cell", "seed": 3, "model": model, "task": task,
+                   "params": params}
+            cases.append((doc, EXIT_PRECONDITION
+                          if (variant, task) in UNSUPPORTED else EXIT_OK))
+    return cases
+
+
+def test_validate_computes_nothing(tmp_path, monkeypatch):
+    """validate runs each task only up to its first computation, so it
+    gives its usual exit codes without drawing a single innovation."""
+    import weakdep.innovations
+    import weakdep.processes
+
+    def no_words(*args, **kwargs):
+        raise AssertionError("validate hashed innovations")
+
+    monkeypatch.setattr(weakdep.innovations, "raw_words", no_words)
+    monkeypatch.setattr(weakdep.processes, "raw_words", no_words)
+    for doc, expected in _usual_validate_cases():
+        assert main(["validate", _write(tmp_path, doc)]) == expected, doc

@@ -104,6 +104,8 @@ def test_theta_mc_preconditions():
         theta_mc(m, -1, 2.0, 2000)
     with pytest.raises(PreconditionError):
         theta_mc(m, 1, 2.0, 10)
+    with pytest.raises(PreconditionError):
+        theta_mc(m, 1, 0.5, 2000)
     with pytest.raises(ModelMismatchError):
         theta_mc(GLdWalkModel(d=2), 1, 2.0, 2000)
 

@@ -11,7 +11,7 @@ from weakdep.processes import (
     PowerLawScheme,
     identity_scheme,
 )
-from weakdep.rates import fit_rate, loglog_wls, run_rate_experiment
+from weakdep.rates import fit_rate, loglog_wls, rate_route, run_rate_experiment
 
 GAUSS = get_law("standard-gaussian")
 
@@ -77,6 +77,9 @@ def test_run_rate_experiment_grid_checks():
         run_rate_experiment(m, [64, 128, 256], 1000, "sqrt-n-ss2")
     with pytest.raises(PreconditionError):
         run_rate_experiment(m, [64, 128, 256, 500], 1000, "sqrt-n-ss2")
+    for grid in ([0, 0, 0, 0], [-1, -2, -4, -8]):
+        with pytest.raises(PreconditionError, match="n-grid"):
+            rate_route(m, grid, 1000, "sqrt-n-ss2")
 
 
 def test_gaussian_identity_closed_form_zero():

@@ -83,7 +83,8 @@ def test_cli_imports_no_private_rate_names():
                for node in ast.walk(_tree("cli"))
                if isinstance(node, ast.ImportFrom)
                and node.module in ("rates", "weakdep.rates", "bedistance",
-                                   "weakdep.bedistance")
+                                   "weakdep.bedistance", "dependence",
+                                   "weakdep.dependence")
                for alias in node.names if alias.name.startswith("_")]
     assert imports == []
 

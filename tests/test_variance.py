@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from weakdep.errors import DegenerateVarianceError, InternalConsistencyError
+from weakdep.errors import (
+    DegenerateVarianceError,
+    InternalConsistencyError,
+    PreconditionError,
+)
 from weakdep.innovations import get_law
 from weakdep.processes import (
     DifferenceScheme,
@@ -131,6 +135,16 @@ def test_sum_variance_gamma_identity(scheme):
         lhs = exact_sum_variance_linear(scheme, n)
         rhs = _gamma_identity_es2(scheme, n, K=scheme.length + n)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("model", [
+    LinearModel(GeometricScheme(0.5, 32), GAUSS),
+    DoublingModel("centered-x"),
+], ids=["exact-linear", "exact-doubling"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_sum_variance_rejects_n_below_one(model, n):
+    with pytest.raises(PreconditionError, match="n must be >= 1"):
+        sum_variance(model, n)
 
 
 def test_sum_variance_brute_force_double_sum():
