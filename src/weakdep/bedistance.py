@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
 from .errors import (
@@ -141,6 +140,8 @@ def gaussian_closed_form_delta(r: float) -> float:
         raise PreconditionError("scale ratio r must be positive")
     if r == 1.0:
         return 0.0
+
+    from scipy.optimize import minimize_scalar
 
     def neg_gap(x):
         return -abs(ndtr(x / r) - ndtr(x))

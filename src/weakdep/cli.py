@@ -37,6 +37,7 @@ from .dependence import (
     AssumptionSpec,
     check_assumption_grid,
     check_assumptions,
+    check_closed_form,
     check_theta,
     dependence_profile,
     profile_closed_form,
@@ -151,10 +152,14 @@ class ExperimentConfig:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params must be an object")
+        try:
+            threads = int(doc.get("threads", 1))
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"threads must be an integer, got {doc['threads']!r}") from None
         cfg = cls(name=str(doc["name"]), seed=doc["seed"],
                   model_spec=doc["model"], task=task, params=params,
-                  out_dir=doc.get("out_dir"),
-                  threads=int(doc.get("threads", 1)))
+                  out_dir=doc.get("out_dir"), threads=threads)
         cfg.validate()
         return cfg
 
@@ -489,7 +494,7 @@ def _task_blocks(cfg, model):
         freq = None
         if degeneracy_R is not None:
             freq = degeneracy_probability(model, layout, R=degeneracy_R,
-                                          seed=cfg.seed)
+                                          seed=cfg.seed, mode=mode)
         doc = {"records": records, "degeneracy_frequency": freq}
         writer.write_json(f"{cfg.name}-blocks.json", doc)
         return doc
@@ -507,7 +512,8 @@ def _task_assumptions(cfg, model):
     check_assumption_grid(grid)
     if p.get("mode") == "closed-form" \
             and _autocov_method(model) == "exact-linear":
-        profile = lambda: profile_closed_form(model.scheme, grid)
+        check_closed_form(spec.p)
+        profile = lambda: profile_closed_form(model.scheme, grid, spec.p)
     else:
         R = int(p.get("R", 20000))
         for l in grid:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelMismatchError, PreconditionError, check_replications
-from .innovations import SERIES_BASE, SERIES_PRIME, law_values
+from .innovations import KEY_BLOCK, SERIES_BASE, SERIES_PRIME, law_values
 from .processes import CoefficientScheme
 from .rates import loglog_wls
 
@@ -29,6 +29,7 @@ __all__ = [
     "theta_mc",
     "theta_gl_surrogate",
     "dependence_profile",
+    "check_closed_form",
     "profile_closed_form",
     "check_assumption_grid",
     "check_assumptions",
@@ -105,12 +106,17 @@ def check_theta(model, l: int, p: float, R: int) -> int:
 
 def _bootstrap_se(powers: np.ndarray, p: float, seed_material: int) -> float:
     """Nonparametric bootstrap stderr of (mean powers)^(1/p); resampling
-    randomness is itself keyed for reproducibility."""
+    randomness is itself keyed for reproducibility.  The resamples are
+    drawn and reduced a block of about KEY_BLOCK indices at a time; the
+    generator draws the same indices whatever the block."""
     rng = np.random.default_rng(seed_material)
     R = len(powers)
-    idx = rng.integers(0, R, size=(_BOOTSTRAP, R))
-    boots = np.mean(powers[idx], axis=1) ** (1.0 / p)
-    return float(np.std(boots, ddof=1))
+    rows = max(1, KEY_BLOCK // R)
+    boots = np.empty(_BOOTSTRAP)
+    for start in range(0, _BOOTSTRAP, rows):
+        idx = rng.integers(0, R, size=(min(rows, _BOOTSTRAP - start), R))
+        boots[start:start + len(idx)] = np.mean(powers[idx], axis=1)
+    return float(np.std(boots ** (1.0 / p), ddof=1))
 
 
 def theta_mc(model, l: int, p: float, R: int, seed: int = 0,
@@ -184,12 +190,17 @@ def dependence_profile(model, p: float, l_grid, R: int,
                              mode="monte-carlo", R=R)
 
 
+def check_closed_form(p: float) -> None:
+    """Check that a closed-form profile exists at moment order p."""
+    if p != 2.0:
+        raise PreconditionError("closed forms are available at p = 2 only")
+
+
 def profile_closed_form(scheme: CoefficientScheme, l_grid,
                         p: float = 2.0) -> DependenceProfile:
     """Exact p=2 profile for linear models with unit-variance innovations:
     theta'_l(2) = sqrt(2)|alpha_l|, theta*_l(2) = sqrt(2 sum_{j>=l} alpha_j^2)."""
-    if p != 2.0:
-        raise PreconditionError("closed forms are available at p = 2 only")
+    check_closed_form(p)
     alpha = scheme.coefficients
     entries = []
     for l in l_grid:

@@ -42,7 +42,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import zeta as hurwitz_zeta
 
 from .errors import ModelMismatchError, PreconditionError
@@ -329,6 +328,7 @@ class _LinearFilter(_WindowModel):
         if L == 1:
             y = eps * alpha[0]
         else:
+            from scipy.signal import fftconvolve
             y = fftconvolve(eps, alpha[None, :], mode="valid", axes=1)
         return self.readout(y)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import zeta as hurwitz_zeta
 
 from .errors import (
     DegenerateVarianceError,
@@ -189,7 +189,6 @@ def _fit_tail(gamma: np.ndarray) -> tuple[float, str]:
     if slope >= -1.0:
         return 0.0, (f"tail-fit: decay exponent {slope:.2f} >= -1, "
                      "tail not summable by fit; no correction")
-    from scipy.special import zeta as hurwitz_zeta
     tail = 2.0 * np.exp(logc) * float(hurwitz_zeta(-slope, K + 1))
     return float(tail), f"tail-fit: exponent {slope:.2f}"
 
@@ -232,6 +231,8 @@ def _power_law_sum_variance(scheme: PowerLawScheme, n: int) -> float:
     def h(x):
         return ((x + 0.5) ** (1 - a) - (x + n + 0.5) ** (1 - a)) ** 2 \
             / (a - 1) ** 2
+
+    from scipy.integrate import quad
 
     # map (c, inf) to (0, 1] via x = c/t: keeps quad off the slowly
     # decaying infinite range, where it loses accuracy for large n

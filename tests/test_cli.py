@@ -158,6 +158,28 @@ def test_blocks_task(tmp_path):
     assert rec["degeneracy_frequency"] == 0.0
 
 
+def test_blocks_task_passes_mode_to_degeneracy(tmp_path, monkeypatch):
+    """The task's mode routes the degeneracy frequency too."""
+    import weakdep.cli
+
+    modes = []
+    probability = weakdep.cli.degeneracy_probability
+
+    def recording(*args, **kwargs):
+        modes.append(kwargs.get("mode", "auto"))
+        return probability(*args, **kwargs)
+
+    monkeypatch.setattr(weakdep.cli, "degeneracy_probability", recording)
+    doc = {**BASE, "task": "blocks",
+           "params": {"n": 14, "m": 2, "K": 16, "mode": "nested-mc",
+                      "degeneracy_R": 1000}}
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    assert modes == ["nested-mc"]
+    rec = json.loads((out / "t-blocks.json").read_text())
+    assert rec["records"][0]["mode"] == "nested-mc"
+
+
 def test_seed_override_changes_digest(tmp_path):
     path = _write(tmp_path, BASE)
     cfg1 = load_config(path)
@@ -297,6 +319,10 @@ RATE_GRID = [4, 8, 16, 32]
                   "scheme": {"variant": "explicit", "alpha": ["a"]}},
      {"K": 4, "n": 16, "m": 2}, EXIT_PARSE),
     ("variance", BASE["model"], {"K": "four", "n": 16, "m": 2}, EXIT_PARSE),
+    ("assumptions", BASE["model"], {"mode": "closed-form", "p": 3, "b": 0.7},
+     EXIT_PRECONDITION),
+    ("assumptions", BASE["model"], {"mode": "closed-form", "p": 2, "b": 0.6},
+     EXIT_OK),
 ], ids=["unknown-method", "unknown-normalization", "monte-carlo-R",
         "bedist-R", "closed-form-R-0", "depcoef-R", "assumptions-R",
         "blocks-degeneracy-R", "bedist-n-0", "variance-K-0", "variance-m-0",
@@ -304,13 +330,20 @@ RATE_GRID = [4, 8, 16, 32]
         "depcoef-p-below-1", "depcoef-negative-lag",
         "assumptions-short-grid", "rate-grid-0",
         "rate-grid-negative", "counterexample-grid-0", "model-no-scheme",
-        "scheme-alpha-not-a-number", "variance-K-not-a-number"])
+        "scheme-alpha-not-a-number", "variance-K-not-a-number",
+        "closed-form-assumptions-p-3", "closed-form-assumptions-p-2"])
 def test_validate_and_run_agree_on_rate_params(tmp_path, task, model, params,
                                                expected):
     path = _write(tmp_path, {**BASE, "model": model, "task": task,
                              "params": params})
     assert main(["validate", path]) == expected
     assert main(["run", path, "--out", str(tmp_path / "o")]) == expected
+
+
+def test_validate_and_run_reject_non_integer_threads(tmp_path):
+    path = _write(tmp_path, {**BASE, "threads": "x"})
+    assert main(["validate", path]) == EXIT_PARSE
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == EXIT_PARSE
 
 
 def _usual_validate_cases():

@@ -223,3 +223,18 @@ def test_mc_profile_triangle_within_noise():
         rhs = e[l].theta_star + e[l + 1].theta_star
         noise = 3 * (e[l].se_prime + e[l].se_star + e[l + 1].se_star)
         assert lhs <= rhs + noise
+
+
+@pytest.mark.parametrize("R", [1000, 4099, 65537])
+def test_bootstrap_se_matches_one_shot_resampling(R):
+    """The row-blocked bootstrap draws and reduces the same resamples as
+    one (200, R) index matrix, R = 65537 being odd and above KEY_BLOCK."""
+    from weakdep import dependence
+
+    powers = np.abs(np.random.default_rng(R).standard_normal(R)) ** 3
+    for p in (2.0, 3.0):
+        rng = np.random.default_rng(R + 7)
+        idx = rng.integers(0, R, size=(200, R))
+        boots = np.mean(powers[idx], axis=1) ** (1.0 / p)
+        one_shot = float(np.std(boots, ddof=1))
+        assert dependence._bootstrap_se(powers, p, R + 7) == one_shot

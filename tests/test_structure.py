@@ -6,10 +6,14 @@ through the public functions and the model methods, and the command line
 names a model class only where it builds the model from a config.  The
 Delta_n grid runner in ``rates`` is the one place that maps a grid, with or
 without threads, and the command line reaches it and its checks through
-public names only.
+public names only.  Starting the command line loads ``scipy.special``
+only; the heavier scipy subpackages load where they are called.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weakdep"
@@ -97,3 +101,23 @@ def test_only_rates_names_a_thread_pool():
         if "ThreadPoolExecutor" in _names(tree) | aliases:
             modules.add(path.stem)
     assert modules == {"rates"}
+
+
+def test_cli_start_loads_no_heavy_scipy_subpackage():
+    """Importing the command line and validating every preset leaves the
+    heavy scipy subpackages unloaded."""
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.signal",
+             "scipy.stats")
+    script = f"""
+import sys
+from weakdep.cli import PRESETS, ExperimentConfig
+for doc in PRESETS.values():
+    ExperimentConfig.from_dict(doc)
+print(sorted(set({heavy!r}) & set(sys.modules)))
+"""
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
