@@ -1,6 +1,6 @@
 """Paired perfbench runs of a base revision against the working tree.
 
-    python3 scripts/bench_compare.py --base HEAD --out BENCH_7.json
+    python3 scripts/bench_compare.py --base HEAD --out BENCH.json
     python3 scripts/bench_compare.py --base HEAD~1 --pairs 3 --workload gl2-rate
 
 The base revision is extracted with ``git archive`` into a temporary
