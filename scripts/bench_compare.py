@@ -1,18 +1,20 @@
 """Paired perfbench runs of a base revision against the working tree.
 
-    python3 scripts/bench_compare.py --base HEAD --out BENCH.json
-    python3 scripts/bench_compare.py --base HEAD~1 --pairs 3 --workload gl2-rate
+    python3 scripts/bench_compare.py --base HEAD~1 --seed 7 --out BENCH_7.json
 
 The base revision is extracted with ``git archive`` into a temporary
 directory, so the repository gains no worktree. For each workload that
 BENCHMARK.json declares, ``perfbench/run.py --trace 0`` then runs on the
-base and on the working tree in alternating order, ``--pairs`` times, for
+base and on the working tree in alternating order, ten times each, for
 the ``run_seconds`` that BENCHMARK.json sets. Each run reports the
 end-to-end metrics of BENCHMARK.json as medians over its experiments. The
 output holds, per workload and metric, the runs of both sides, their
 medians and quartiles, and the number of pairs in which the working tree
-did better. One traced run per side also records the exact work counts,
-which must agree.
+did better. One traced run per side also records perfbench's exact work
+counts with that run's verdict; they agree only if both traced runs are
+correct and every count is present and equal. The exit status is 0 only
+if every run of the working tree is correct and every workload's counts
+agree.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# work counts that depend only on the config (perfbench/run.py)
-EXACT_COUNTS = ("innovations.words", "innovations.calls",
-                "processes.rep_steps", "variance.calls")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from run import EXACT_COUNTS  # noqa: E402
+
+# alternating pairs per workload: the fewest that can back a claimed gain
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -42,8 +47,11 @@ def git(*args: str) -> str:
 def extract(rev: str, into: str) -> None:
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True,
                              capture_output=True).stdout
+    # the archive is our own; the "data" filter (Python 3.10.12+/3.11.4+)
+    # only guards against links leaving ``into``
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
+        tar.extractall(into, **safe)
 
 
 def perfbench(checkout: str, workload: str, seed: int, seconds: float,
@@ -56,8 +64,8 @@ def perfbench(checkout: str, workload: str, seed: int, seconds: float,
     proc = subprocess.run(cmd, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        return {"correct": False, "error": proc.stderr[-2000:] or proc.stdout,
-                "metrics": {}}
+        return {"correct": False, "metrics": {},
+                "problems": [proc.stderr[-2000:] or proc.stdout]}
     detail, line = json.loads(lines[-2]), json.loads(lines[-1])
     line.update(failed_ratio=detail["failed_ratio"],
                 samples=detail.get("samples"), problems=detail["problems"],
@@ -71,9 +79,9 @@ def summary(values: list) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
-def compare(workload, metrics, base_dir, pairs, seed, seconds) -> dict:
+def compare(workload, metrics, base_dir, seed, seconds) -> dict:
     runs = {"base": [], "change": []}
-    for i in range(pairs):
+    for i in range(PAIRS):
         # alternate which side goes first, so neither always runs warm
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
@@ -84,13 +92,12 @@ def compare(workload, metrics, base_dir, pairs, seed, seconds) -> dict:
             print(f"{workload} pair {i + 1} {side}: "
                   + ", ".join(f"{k} {v['value']:.4g}" for k, v in m.items()),
                   file=sys.stderr, flush=True)
-    out = {"pairs": pairs,
+    out = {"pairs": PAIRS,
            "correct": {side: all(r["correct"] for r in rs)
                        for side, rs in runs.items()},
            "failed_ratio": {side: max(r.get("failed_ratio", 1.0) for r in rs)
                             for side, rs in runs.items()},
-           "problems": {side: [p for r in rs
-                               for p in r.get("problems", [r.get("error")])]
+           "problems": {side: [p for r in rs for p in r["problems"]]
                         for side, rs in runs.items()}}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -107,10 +114,18 @@ def compare(workload, metrics, base_dir, pairs, seed, seconds) -> dict:
                 out[name][side] = summary(vs)
     counts = {}
     for side, checkout in (("base", base_dir), ("change", ROOT)):
-        m = perfbench(checkout, workload, seed, seconds, 1)["metrics"]
-        counts[side] = {k: m.get(k, {}).get("value") for k in EXACT_COUNTS}
-    out["exact_counts"] = {**counts,
-                           "equal": counts["base"] == counts["change"]}
+        traced = perfbench(checkout, workload, seed, seconds, 1)
+        m = traced["metrics"]
+        counts[side] = {
+            "correct": traced["correct"], "problems": traced["problems"],
+            **{k: m.get(k, {}).get("value") for k in EXACT_COUNTS}}
+    values = {side: [c[k] for k in EXACT_COUNTS]
+              for side, c in counts.items()}
+    out["exact_counts"] = {
+        **counts,
+        "equal": (counts["base"]["correct"] and counts["change"]["correct"]
+                  and None not in values["base"] + values["change"]
+                  and values["base"] == values["change"])}
     out["machine"] = runs["change"][0].get("machine")
     out["env"] = runs["change"][0].get("env")
     return out
@@ -118,17 +133,15 @@ def compare(workload, metrics, base_dir, pairs, seed, seconds) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", default="HEAD",
+    ap.add_argument("--base", required=True,
                     help="revision to compare the working tree against")
+    ap.add_argument("--seed", type=int, required=True,
+                    help="perfbench seed of every run")
     ap.add_argument("--out", help="JSON file to write (default: stdout)")
-    ap.add_argument("--workload", action="append",
-                    help="workload to run (repeatable; default: all)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     result = {"base": git("rev-parse", args.base),
               "change": "working tree on " + git("rev-parse", "HEAD"),
               "command": " ".join(bench["command"]),
@@ -140,8 +153,8 @@ def main() -> int:
         extract(args.base, base_dir)
         for workload in workloads:
             result["workloads"][workload] = compare(
-                workload, bench["end_to_end"], base_dir, args.pairs,
-                args.seed, bench["run_seconds"])
+                workload, bench["end_to_end"], base_dir, args.seed,
+                bench["run_seconds"])
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     text = json.dumps(result, indent=1) + "\n"

@@ -494,7 +494,7 @@ def _task_blocks(cfg, model):
         freq = None
         if degeneracy_R is not None:
             freq = degeneracy_probability(model, layout, R=degeneracy_R,
-                                          seed=cfg.seed, mode=mode)
+                                          seed=cfg.seed, mode=mode, K=K)
         doc = {"records": records, "degeneracy_frequency": freq}
         writer.write_json(f"{cfg.name}-blocks.json", doc)
         return doc

@@ -159,14 +159,14 @@ def test_blocks_task(tmp_path):
 
 
 def test_blocks_task_passes_mode_to_degeneracy(tmp_path, monkeypatch):
-    """The task's mode routes the degeneracy frequency too."""
+    """The task's mode and K route the degeneracy frequency too."""
     import weakdep.cli
 
-    modes = []
+    routes = []
     probability = weakdep.cli.degeneracy_probability
 
     def recording(*args, **kwargs):
-        modes.append(kwargs.get("mode", "auto"))
+        routes.append((kwargs.get("mode", "auto"), kwargs.get("K", 64)))
         return probability(*args, **kwargs)
 
     monkeypatch.setattr(weakdep.cli, "degeneracy_probability", recording)
@@ -175,7 +175,7 @@ def test_blocks_task_passes_mode_to_degeneracy(tmp_path, monkeypatch):
                       "degeneracy_R": 1000}}
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, doc), "--out", str(out)]) == EXIT_OK
-    assert modes == ["nested-mc"]
+    assert routes == [("nested-mc", 16)]
     rec = json.loads((out / "t-blocks.json").read_text())
     assert rec["records"][0]["mode"] == "nested-mc"
 
