@@ -15,6 +15,11 @@ one, a Monte Carlo Hoelder centering pre-pass, and doubling and GL_2 step
 loops over enough replications that the steps are hashed in several
 blocks, the last one partial.  Their digests were recorded when every
 chunk was hashed in one call and every step in a call of its own.
+
+The K = 18 exact-doubling tables reach levels of 2^17 and 2^18 cells, so
+the quadrature runs over more than one 2^16-cell chunk and many row
+blocks inside each.  Their digests were recorded when each chunk was
+evaluated as one (cells x nodes) array.
 """
 
 import hashlib
@@ -36,7 +41,7 @@ from weakdep.processes import (
     sample_path,
     truncation_error,
 )
-from weakdep.variance import autocovariance
+from weakdep.variance import _exact_doubling_gamma, autocovariance
 
 GL2 = GLdWalkModel(d=2)
 # a short burn-in and few centering replications keep the d = 3 pre-pass
@@ -77,6 +82,11 @@ def _cases():
         "gl-surrogate-k21-wide": lambda: np.array(
             theta_gl_surrogate(GL2, 21, 2.0, R=4096, seed=2)),
     }
+    # the projected model has no exact route of its own; its table is the
+    # same quadrature on the cell-mean observable
+    cases["doubling-cos2pi-m12-autocov-exact-k18"] = (
+        lambda: _exact_doubling_gamma(
+            m_project(DoublingModel("cos2pi"), 12), 18))
     for obs in OBSERVABLES:
         model = DoublingModel(obs)
         proj = m_project(model, 4)
@@ -87,6 +97,9 @@ def _cases():
         cases[f"doubling-{obs}-autocov-exact"] = (
             lambda model=model: autocovariance(
                 model, K=6, method="exact-doubling").gamma)
+        cases[f"doubling-{obs}-autocov-exact-k18"] = (
+            lambda model=model: autocovariance(
+                model, K=18, method="exact-doubling").gamma)
         cases[f"doubling-{obs}-truncation"] = (
             lambda model=model: [truncation_error(model, J)
                                  for J in (0, 3, 17)])
@@ -107,6 +120,8 @@ PINNED = {
         "ba8f89d684d6745c71a90a51d4237e26bf105f72b896f42620b362818a4097c1",
     "doubling-centered-x-autocov-exact":
         "1c993f306ed49bfc745ad121b74cccfbb248db9867f6afd0675b0b6bb877cfad",
+    "doubling-centered-x-autocov-exact-k18":
+        "003e37d3294287e202e97f6c19731cbb8a769ec5e57d74c3d3495e5a75c86f4b",
     "doubling-centered-x-m4-autocov-mc":
         "368fd62c164177361385c3b9dbb5403feb04bdd6a31d01a093eb647d1deb7acb",
     "doubling-centered-x-m4-partial-sums":
@@ -123,12 +138,16 @@ PINNED = {
         "9995a5afcd20d73a6ad34359e8f7e85a670cdd3d810c6567f4e9d03b1b2986c4",
     "doubling-cos2pi-autocov-exact":
         "8478f61c256c74ff55ee19cdefd1ac01e744208ba8adf1f14d5880bc36a62ad0",
+    "doubling-cos2pi-autocov-exact-k18":
+        "085486c423adb22f4cec04f5da7aaa675e0ed41192f24301f74cb56dc19cec4b",
     "doubling-cos2pi-m4-autocov-mc":
         "6360dbd40f6d3cc46f1dc61a5543f179b6b5c262782db3930d60c91d41409708",
     "doubling-cos2pi-m4-partial-sums":
         "9c13090ed1e8bb8e34fa8818215eb7975f647b3256f7167772091f41ceedc8e3",
     "doubling-cos2pi-m4-theta":
         "4b1f46959e0e27a73b6b8c1c04218ba65314786bf19bcf35fdbcd71fd928497a",
+    "doubling-cos2pi-m12-autocov-exact-k18":
+        "5e6db944c8a77d7d3831f6191e0468e54ffeb445e42fbcf876ac46a9847c42b9",
     "doubling-cos2pi-partial-sums":
         "82a878095f04585504b38f62b5c9593a510b5ba6162773469609705c41735a53",
     "doubling-cos2pi-partial-sums-wide":
@@ -141,6 +160,8 @@ PINNED = {
         "f3abf7c3f59bce89cf451333ba0652d9dffd598befd1dd199868cfa2c66319b1",
     "doubling-indicator-half-autocov-exact":
         "d8e739368cd58d9b9010aa8c3cfa2a288fee24ec515d319a29c0909d98fc969b",
+    "doubling-indicator-half-autocov-exact-k18":
+        "4f5d43816c88a30e5004fcd67e360688822b19c254600265555ed332f205da50",
     "doubling-indicator-half-m4-autocov-mc":
         "ba57a5e55263b50eecd67ea05b8645e719921b852ba12b7a28c5841d4f88f074",
     "doubling-indicator-half-m4-partial-sums":
