@@ -64,6 +64,7 @@ from .processes import (
 from .rates import fit_rate, rate_route, run_rate_experiment
 from .variance import (
     _autocov_method,
+    _check_lags,
     autocovariance,
     longrun_variance,
     sigma_hat_m,
@@ -446,7 +447,7 @@ def _task_variance(cfg, model):
     K, n, m = (_count_param(p, "K", 64), _count_param(p, "n", 1024),
                _count_param(p, "m", 16))
     method, R = p.get("method", "auto"), int(p.get("R", 4096))
-    _autocov_method(model, method)
+    _check_lags(_autocov_method(model, method), K)
 
     def run(writer):
         table = autocovariance(model, K=K, method=method, R=R, seed=cfg.seed)

@@ -10,6 +10,7 @@ cross-checked against the autocovariance identity
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     ModelMismatchError,
     PreconditionError,
 )
+from .innovations import KEY_BLOCK
 from .processes import CoefficientScheme, PowerLawScheme, partial_sums
 
 __all__ = [
@@ -74,34 +76,60 @@ def _exact_linear_gamma(model, K: int) -> np.ndarray:
 
 
 # Gauss-Legendre nodes on [0, 1], used per half-cell so that the
-# half-indicator observable is integrated exactly
+# half-indicator observable is integrated exactly: u-nodes covering [0, 1]
+# as two half-cells, with their weights
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+_DOUBLING_NODES = np.concatenate([0.5 * _GL_NODES, 0.5 + 0.5 * _GL_NODES])
+_DOUBLING_WEIGHTS = np.concatenate([0.5 * _GL_WEIGHTS, 0.5 * _GL_WEIGHTS])
+
+# the quadrature for lag k runs over 2^k dyadic cells
+_DOUBLING_LAG_CAP = 24
+
+
+def _check_lags(method: str, K: int) -> None:
+    """Raise PreconditionError when the resolved autocovariance ``method``
+    cannot tabulate lags 0..K."""
+    if method == "exact-doubling" and K > _DOUBLING_LAG_CAP:
+        raise PreconditionError(
+            f"exact-doubling lag cap is {_DOUBLING_LAG_CAP}")
+
+
+@functools.cache
+def _doubling_lag(model, k: int) -> float:
+    """gamma(k) = int_0^1 f(x) f(2^k x mod 1) dx by per-cell quadrature,
+    each dyadic cell split at its midpoint (where 2^k x mod 1 crosses 1/2).
+
+    The cells are summed in chunks of 2^16, each chunk in row blocks of
+    KEY_BLOCK values.  A block sits below the chunk's running column sum
+    in one C-contiguous buffer, whose axis-0 sum adds row after row, so
+    the bits are those of summing the whole chunk at once."""
+    f, u = model.register_value, _DOUBLING_NODES
+    h = 2.0 ** -k
+    cells = 2 ** k
+    chunk = 1 << 16
+    rows = min(cells, KEY_BLOCK // len(u))
+    buf = np.empty((rows + 1, len(u)))
+    outer = np.zeros(len(u))
+    for lo in range(0, cells, chunk):
+        hi = min(lo + chunk, cells)
+        top = 1  # the chunk's first block has no running sum above it
+        for b in range(lo, hi, rows):
+            i = np.arange(b, min(b + rows, hi), dtype=np.float64)
+            buf[1:len(i) + 1] = f((i[:, None] + u[None, :]) * h)
+            buf[0] = buf[top:len(i) + 1].sum(axis=0)
+            top = 0
+        outer += buf[0]
+    # gamma(k) = h * sum_g wq_g f(u_g) * sum_i f((i + u_g) h)
+    return h * np.dot(_DOUBLING_WEIGHTS * f(u), outer)
 
 
 def _exact_doubling_gamma(model, K: int) -> np.ndarray:
-    """gamma(k) = int_0^1 f(x) f(2^k x mod 1) dx by per-cell quadrature,
-    each dyadic cell split at its midpoint (where 2^k x mod 1 crosses 1/2)."""
-    if K > 24:
-        raise PreconditionError("exact-doubling lag cap is 24")
-    f = model.register_value
-    # u-nodes covering [0, 1] as two half-cells
-    u = np.concatenate([0.5 * _GL_NODES, 0.5 + 0.5 * _GL_NODES])
-    wq = np.concatenate([0.5 * _GL_WEIGHTS, 0.5 * _GL_WEIGHTS])
-    fu = f(u)
-    g = np.zeros(K + 1)
-    chunk = 1 << 16  # bound the (cells x nodes) work array
-    for k in range(K + 1):
-        h = 2.0 ** -k
-        cells = 2 ** k
-        outer = np.zeros(len(u))
-        for lo in range(0, cells, chunk):
-            i = np.arange(lo, min(lo + chunk, cells), dtype=np.float64)
-            # gamma(k) = h * sum_g wq_g f(u_g) * sum_i f((i + u_g) h)
-            outer += f((i[:, None] + u[None, :]) * h).sum(axis=0)
-        g[k] = h * np.dot(wq * fu, outer)
-    return g
+    """gamma(0..K) from the per-lag quadrature, each lag computed once per
+    model and process."""
+    _check_lags("exact-doubling", K)
+    return np.array([_doubling_lag(model, k) for k in range(K + 1)])
 
 
 def _mc_gamma(model, K: int, R: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +297,8 @@ def sum_variance(model, n: int, seed: int = 0, R: int = 4096) -> float:
     if method == "monte-carlo":
         s = partial_sums(model, seed, _VAR_REP_OFFSET + np.arange(R), n)
         return float(np.var(s, ddof=1))
-    table = autocovariance(model, K=min(24, max(1, n - 1)), method=method)
+    table = autocovariance(
+        model, K=min(_DOUBLING_LAG_CAP, max(1, n - 1)), method=method)
     g = table.gamma
     k = np.arange(1, len(g))
     return float(n * g[0] + 2.0 * np.dot(n - np.minimum(k, n), g[1:]))

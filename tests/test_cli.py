@@ -273,6 +273,7 @@ def test_validate_block_params(tmp_path):
 
 RADEMACHER = {**BASE["model"], "law": "rademacher"}
 CENTERED_X = {"variant": "doubling", "observable": "centered-x"}
+COS2PI = {"variant": "doubling", "observable": "cos2pi"}
 RATE_GRID = [4, 8, 16, 32]
 
 
@@ -323,6 +324,12 @@ RATE_GRID = [4, 8, 16, 32]
      EXIT_PRECONDITION),
     ("assumptions", BASE["model"], {"mode": "closed-form", "p": 2, "b": 0.6},
      EXIT_OK),
+    # the default K = 64 is past the exact-doubling lag cap of 24, on the
+    # auto route and on the named one
+    ("variance", COS2PI, {"n": 64}, EXIT_PRECONDITION),
+    ("variance", COS2PI, {"K": 25, "n": 16, "m": 2,
+                          "method": "exact-doubling"}, EXIT_PRECONDITION),
+    ("variance", COS2PI, {"K": 24, "n": 16, "m": 2}, EXIT_OK),
 ], ids=["unknown-method", "unknown-normalization", "monte-carlo-R",
         "bedist-R", "closed-form-R-0", "depcoef-R", "assumptions-R",
         "blocks-degeneracy-R", "bedist-n-0", "variance-K-0", "variance-m-0",
@@ -331,7 +338,9 @@ RATE_GRID = [4, 8, 16, 32]
         "assumptions-short-grid", "rate-grid-0",
         "rate-grid-negative", "counterexample-grid-0", "model-no-scheme",
         "scheme-alpha-not-a-number", "variance-K-not-a-number",
-        "closed-form-assumptions-p-3", "closed-form-assumptions-p-2"])
+        "closed-form-assumptions-p-3", "closed-form-assumptions-p-2",
+        "doubling-variance-default-K", "doubling-variance-K-25",
+        "doubling-variance-K-24"])
 def test_validate_and_run_agree_on_rate_params(tmp_path, task, model, params,
                                                expected):
     path = _write(tmp_path, {**BASE, "model": model, "task": task,
