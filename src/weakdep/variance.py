@@ -22,7 +22,6 @@ from .errors import (
     ModelMismatchError,
     PreconditionError,
 )
-from .innovations import KEY_BLOCK
 from .processes import CoefficientScheme, PowerLawScheme, partial_sums
 
 __all__ = [
@@ -86,6 +85,10 @@ _DOUBLING_WEIGHTS = np.concatenate([0.5 * _GL_WEIGHTS, 0.5 * _GL_WEIGHTS])
 
 # the quadrature for lag k runs over 2^k dyadic cells
 _DOUBLING_LAG_CAP = 24
+# float64 values per quadrature block: 64 KiB temporaries stay below
+# glibc's default 128 KiB mmap threshold, so the allocator reuses them;
+# 512 KiB blocks were mapped or trimmed and page-faulted afresh each time
+_DOUBLING_BLOCK = 1 << 13
 
 
 def _check_lags(method: str, K: int) -> None:
@@ -101,15 +104,15 @@ def _doubling_lag(model, k: int) -> float:
     """gamma(k) = int_0^1 f(x) f(2^k x mod 1) dx by per-cell quadrature,
     each dyadic cell split at its midpoint (where 2^k x mod 1 crosses 1/2).
 
-    The cells are summed in chunks of 2^16, each chunk in row blocks of
-    KEY_BLOCK values.  A block sits below the chunk's running column sum
-    in one C-contiguous buffer, whose axis-0 sum adds row after row, so
-    the bits are those of summing the whole chunk at once."""
+    The cells are summed in chunks of 2^16, each chunk in cache-sized row
+    blocks.  A block sits below the chunk's running column sum in one
+    C-contiguous buffer, whose axis-0 sum adds row after row, so the bits
+    are those of summing the whole chunk at once."""
     f, u = model.register_value, _DOUBLING_NODES
     h = 2.0 ** -k
     cells = 2 ** k
     chunk = 1 << 16
-    rows = min(cells, KEY_BLOCK // len(u))
+    rows = min(cells, _DOUBLING_BLOCK // len(u))
     buf = np.empty((rows + 1, len(u)))
     outer = np.zeros(len(u))
     for lo in range(0, cells, chunk):
