@@ -86,8 +86,8 @@ _DOUBLING_WEIGHTS = np.concatenate([0.5 * _GL_WEIGHTS, 0.5 * _GL_WEIGHTS])
 # the quadrature for lag k runs over 2^k dyadic cells
 _DOUBLING_LAG_CAP = 24
 # float64 values per quadrature block: 64 KiB temporaries stay below
-# glibc's default 128 KiB mmap threshold, so the allocator reuses them;
-# 512 KiB blocks were mapped or trimmed and page-faulted afresh each time
+# glibc's default 128 KiB mmap threshold, so the allocator reuses them,
+# where larger ones are mapped or trimmed and page-faulted afresh per block
 _DOUBLING_BLOCK = 1 << 13
 
 
