@@ -10,7 +10,6 @@ cross-checked against the autocovariance identity
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +98,7 @@ def _check_lags(method: str, K: int) -> None:
             f"exact-doubling lag cap is {_DOUBLING_LAG_CAP}")
 
 
-@functools.cache
-def _doubling_lag(model, k: int) -> float:
+def _exact_doubling_gamma(model, K: int) -> np.ndarray:
     """gamma(k) = int_0^1 f(x) f(2^k x mod 1) dx by per-cell quadrature,
     each dyadic cell split at its midpoint (where 2^k x mod 1 crosses 1/2).
 
@@ -108,31 +106,28 @@ def _doubling_lag(model, k: int) -> float:
     blocks.  A block sits below the chunk's running column sum in one
     C-contiguous buffer, whose axis-0 sum adds row after row, so the bits
     are those of summing the whole chunk at once."""
-    f, u = model.register_value, _DOUBLING_NODES
-    h = 2.0 ** -k
-    cells = 2 ** k
-    chunk = 1 << 16
-    rows = min(cells, _DOUBLING_BLOCK // len(u))
-    buf = np.empty((rows + 1, len(u)))
-    outer = np.zeros(len(u))
-    for lo in range(0, cells, chunk):
-        hi = min(lo + chunk, cells)
-        top = 1  # the chunk's first block has no running sum above it
-        for b in range(lo, hi, rows):
-            i = np.arange(b, min(b + rows, hi), dtype=np.float64)
-            buf[1:len(i) + 1] = f((i[:, None] + u[None, :]) * h)
-            buf[0] = buf[top:len(i) + 1].sum(axis=0)
-            top = 0
-        outer += buf[0]
-    # gamma(k) = h * sum_g wq_g f(u_g) * sum_i f((i + u_g) h)
-    return h * np.dot(_DOUBLING_WEIGHTS * f(u), outer)
-
-
-def _exact_doubling_gamma(model, K: int) -> np.ndarray:
-    """gamma(0..K) from the per-lag quadrature, each lag computed once per
-    model and process."""
     _check_lags("exact-doubling", K)
-    return np.array([_doubling_lag(model, k) for k in range(K + 1)])
+    f, u = model.register_value, _DOUBLING_NODES
+    wfu = _DOUBLING_WEIGHTS * f(u)
+    chunk, rows = 1 << 16, _DOUBLING_BLOCK // len(u)
+    buf = np.empty((rows + 1, len(u)))
+    g = np.zeros(K + 1)
+    for k in range(K + 1):
+        h = 2.0 ** -k
+        cells = 2 ** k
+        outer = np.zeros(len(u))
+        for lo in range(0, cells, chunk):
+            hi = min(lo + chunk, cells)
+            top = 1  # the chunk's first block has no running sum above it
+            for b in range(lo, hi, rows):
+                i = np.arange(b, min(b + rows, hi), dtype=np.float64)
+                buf[1:len(i) + 1] = f((i[:, None] + u[None, :]) * h)
+                buf[0] = buf[top:len(i) + 1].sum(axis=0)
+                top = 0
+            outer += buf[0]
+        # gamma(k) = h * sum_g wq_g f(u_g) * sum_i f((i + u_g) h)
+        g[k] = h * np.dot(wfu, outer)
+    return g
 
 
 def _mc_gamma(model, K: int, R: int, seed) -> tuple[np.ndarray, np.ndarray]:

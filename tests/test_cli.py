@@ -12,7 +12,8 @@ from weakdep.cli import (
     load_config,
     main,
 )
-from weakdep.errors import ConfigError
+from weakdep.errors import ConfigError, PreconditionError
+from weakdep.variance import _check_lags
 
 
 def _write(tmp_path, doc, name="config.json"):
@@ -329,7 +330,6 @@ RATE_GRID = [4, 8, 16, 32]
     ("variance", COS2PI, {"n": 64}, EXIT_PRECONDITION),
     ("variance", COS2PI, {"K": 25, "n": 16, "m": 2,
                           "method": "exact-doubling"}, EXIT_PRECONDITION),
-    ("variance", COS2PI, {"K": 24, "n": 16, "m": 2}, EXIT_OK),
 ], ids=["unknown-method", "unknown-normalization", "monte-carlo-R",
         "bedist-R", "closed-form-R-0", "depcoef-R", "assumptions-R",
         "blocks-degeneracy-R", "bedist-n-0", "variance-K-0", "variance-m-0",
@@ -339,14 +339,24 @@ RATE_GRID = [4, 8, 16, 32]
         "rate-grid-negative", "counterexample-grid-0", "model-no-scheme",
         "scheme-alpha-not-a-number", "variance-K-not-a-number",
         "closed-form-assumptions-p-3", "closed-form-assumptions-p-2",
-        "doubling-variance-default-K", "doubling-variance-K-25",
-        "doubling-variance-K-24"])
+        "doubling-variance-default-K", "doubling-variance-K-25"])
 def test_validate_and_run_agree_on_rate_params(tmp_path, task, model, params,
                                                expected):
     path = _write(tmp_path, {**BASE, "model": model, "task": task,
                              "params": params})
     assert main(["validate", path]) == expected
     assert main(["run", path, "--out", str(tmp_path / "o")]) == expected
+
+
+def test_doubling_variance_lag_cap_boundary(tmp_path):
+    """K = 24 is the last lag the exact-doubling route tabulates; running it
+    would integrate 2^24 cells, so the boundary is checked without a run."""
+    _check_lags("exact-doubling", 24)
+    with pytest.raises(PreconditionError):
+        _check_lags("exact-doubling", 25)
+    path = _write(tmp_path, {**BASE, "model": COS2PI, "task": "variance",
+                             "params": {"K": 24, "n": 16, "m": 2}})
+    assert main(["validate", path]) == EXIT_OK
 
 
 def test_validate_and_run_reject_non_integer_threads(tmp_path):

@@ -1,10 +1,6 @@
-import functools
-
 import numpy as np
 import pytest
 from scipy.special import zeta
-
-from weakdep import variance
 
 from weakdep.errors import (
     DegenerateVarianceError,
@@ -21,7 +17,6 @@ from weakdep.processes import (
     PowerLawScheme,
     identity_scheme,
 )
-from weakdep.rates import run_rate_experiment
 from weakdep.variance import (
     autocovariance,
     exact_sum_variance_linear,
@@ -84,31 +79,6 @@ def test_doubling_autocov_exact():
     t = autocovariance(DoublingModel("cos2pi"), K=6, method="exact-doubling")
     assert t.gamma[0] == pytest.approx(0.5, abs=1e-10)
     np.testing.assert_allclose(t.gamma[1:], 0.0, atol=1e-10)
-
-
-def test_exact_doubling_lags_computed_once(monkeypatch):
-    """Each E S_n^2 of a sqrt-ESn2 rate tabulates lags 0..n-1; every lag is
-    integrated once and shared by the later, longer tables."""
-    computed = []
-    body = variance._doubling_lag.__wrapped__
-
-    def counted(model, k):
-        computed.append(k)
-        return body(model, k)
-
-    monkeypatch.setattr(variance, "_doubling_lag", functools.cache(counted))
-    run_rate_experiment(DoublingModel("cos2pi"), [2, 4, 8, 16], 1000,
-                        "sqrt-ESn2")
-    assert sorted(computed) == list(range(16))
-
-
-def test_exact_doubling_table_is_a_fresh_array():
-    model = DoublingModel("centered-x")
-    first = autocovariance(model, K=4, method="exact-doubling").gamma
-    expected = first.copy()
-    first[:] = 0.0
-    again = autocovariance(model, K=4, method="exact-doubling").gamma
-    np.testing.assert_array_equal(again, expected)
 
 
 def test_monte_carlo_autocov_matches_exact():
