@@ -586,8 +586,9 @@ def main(argv=None) -> int:
     p_pre = sub.add_parser("presets", help="preset utilities")
     p_pre.add_argument("action", choices=["list", "show"])
     p_pre.add_argument("name", nargs="?")
-    p_val = sub.add_parser("validate", help="validate a config file")
-    p_val.add_argument("config")
+    p_val = sub.add_parser("validate",
+                           help="validate a config file or preset")
+    p_val.add_argument("config", help="config.json path or preset name")
     args = parser.parse_args(argv)
 
     try:
@@ -603,7 +604,7 @@ def main(argv=None) -> int:
                                  sort_keys=True))
             return EXIT_OK
         if args.command == "validate":
-            load_config(args.config)
+            _load_or_preset(args.config)
             print("ok")
             return EXIT_OK
         # run

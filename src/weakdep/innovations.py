@@ -12,10 +12,12 @@ centering pre-passes and nested Monte Carlo.  ``channel`` separates
 multiple draws needed at the same time index (e.g. rotation angle and
 log-gain of a matrix increment).
 
-Values are produced in fixed key blocks of at most ``KEY_BLOCK`` keys, so
-every temporary stays cache-sized however large the request.  A word
-depends on its key alone, so blocked values are bit-identical to a
-one-shot hash of the same keys.
+``law_values`` allocates its result once and fills it in row slices of
+at most ``KEY_BLOCK`` keys (one row per slice if a row alone is wider):
+each slice's words are hashed into the ``uint64`` view of the result and
+transformed into values there, in place, so the temporaries stay
+cache-sized however large the request.  A word depends on its key alone,
+so blocked values are bit-identical to a one-shot hash of the same keys.
 """
 
 from __future__ import annotations
@@ -59,18 +61,22 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _C_REP = np.uint64(0xD1342543DE82EF95)
 _C_SER = np.uint64(0xAF251AF3B0F025B5)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    """splitmix64 avalanche finalizer, vectorized over uint64 arrays.
+def _finalize(z):
+    """splitmix64 avalanche finalizer, in place on a uint64 array (a numpy
+    scalar is rebound instead); returns ``z``.
 
-    uint64 arithmetic is modulo 2^64 by design; the overflow warning that
-    numpy raises for scalar operands is suppressed.
+    uint64 arithmetic is modulo 2^64 by design; callers suppress the
+    overflow warning that numpy raises for scalar operands.
     """
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
 def _as_u64(x) -> np.ndarray:
@@ -90,29 +96,57 @@ def _stream_state(seed, replication, series, channel=0) -> np.ndarray:
         return _finalize(h ^ (sc * _C_SER + _GAMMA))
 
 
-def raw_words(seed, replication, series, times, channel=0) -> np.ndarray:
+def raw_words(seed, replication, series, times, channel=0, out=None):
     """Raw 64-bit words for the given key(s).
 
     ``replication`` and ``times`` may be scalars or arrays; they broadcast
     against each other (a (R, 1) replication column against a (T,) time row
-    yields an (R, T) block).
+    yields an (R, T) block).  ``out``, a uint64 array of the broadcast
+    shape, receives the words if given.
     """
     state = _stream_state(seed, replication, series, channel)
     with np.errstate(over="ignore"):
         t = _as_u64(times)
-        return _finalize(state ^ (t * _GAMMA))
+        return _finalize(np.bitwise_xor(state, t * _GAMMA, out=out))
 
 
-def uniform01(words: np.ndarray) -> np.ndarray:
-    """Map 64-bit words to floats in (0, 1) using the top 53 bits."""
-    return (words >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+def uniform01(words: np.ndarray, out=None) -> np.ndarray:
+    """Map 64-bit words to floats in (0, 1) using the top 53 bits; ``out``
+    may share memory with ``words``."""
+    u = np.multiply(words >> np.uint64(11), 2.0**-53, out=out)
+    u += 2.0**-54
+    return u
 
 
 _SQRT12 = np.sqrt(12.0)
+_SIGN = np.uint64(1 << 63)
+_ONE = np.float64(1.0).view(np.uint64)  # the bit pattern of 1.0
+
+
+def _gaussian(words, out):
+    ndtri(uniform01(words, out), out=out)
+
+
+def _rademacher(words, out):
+    # the word's sign bit on 1.0: exactly 1 - 2 * (bit 63)
+    bits = np.bitwise_and(words, _SIGN, out=out.view(np.uint64))
+    bits |= _ONE
+
+
+def _centered_uniform(words, out):
+    uniform01(words, out)
+    out -= 0.5
+    out *= _SQRT12
+
+
+def _raw_bit(words, out):
+    # bit 63 times the bit pattern of 1.0 is the bit pattern of 0.0 or 1.0
+    bits = np.right_shift(words, np.uint64(63), out=out.view(np.uint64))
+    bits *= _ONE
 
 
 class _Law(NamedTuple):
-    sample: Callable          # raw words -> values
+    sample: Callable          # (words, out) -> None; out may alias words
     abs_moment: Callable      # p -> E |eps|^p
     central_moment: Callable  # integer k -> E (eps - E eps)^k
 
@@ -120,25 +154,24 @@ class _Law(NamedTuple):
 # one row per law; every moment is analytic
 _LAWS = {
     "standard-gaussian": _Law(
-        sample=lambda words: ndtri(uniform01(words)),
+        sample=_gaussian,
         abs_moment=lambda p: float(np.exp(
             0.5 * p * np.log(2.0) + gammaln((p + 1) / 2.0)
             - 0.5 * np.log(np.pi))),
         central_moment=lambda k: 0.0 if k % 2 else (
             float(np.prod(np.arange(1, k, 2, dtype=float))) if k else 1.0)),
     "rademacher": _Law(
-        sample=lambda words: 1.0 - 2.0 * (
-            words >> np.uint64(63)).astype(np.float64),
+        sample=_rademacher,
         abs_moment=lambda p: 1.0,
         central_moment=lambda k: 0.0 if k % 2 else 1.0),
     # uniform on [-sqrt(3), sqrt(3)]
     "centered-uniform": _Law(
-        sample=lambda words: (uniform01(words) - 0.5) * _SQRT12,
+        sample=_centered_uniform,
         abs_moment=lambda p: float(3.0 ** (p / 2.0) / (p + 1.0)),
         central_moment=lambda k: 0.0 if k % 2 else float(
             3.0 ** (k / 2) / (k + 1.0))),
     "raw-bit": _Law(
-        sample=lambda words: (words >> np.uint64(63)).astype(np.float64),
+        sample=_raw_bit,
         abs_moment=lambda p: 0.5,
         central_moment=lambda k: 0.0 if k % 2 else 0.5 ** k),
 }
@@ -155,7 +188,9 @@ class InnovationLaw:
     kind: str
 
     def sample(self, words: np.ndarray) -> np.ndarray:
-        return _LAWS[self.kind].sample(words)
+        out = np.empty(np.shape(words))
+        _LAWS[self.kind].sample(words, out)
+        return out
 
     def abs_moment(self, p: float) -> float:
         """E |eps|^p, analytic."""
@@ -184,22 +219,25 @@ def get_law(kind) -> InnovationLaw:
 def law_values(law, seed, replication, series, times, channel=0) -> np.ndarray:
     """Innovation values for the given key(s); broadcasts like raw_words.
 
-    A key block larger than ``KEY_BLOCK`` is hashed and transformed in
-    row slices along its first axis."""
-    law = get_law(law)
-    keys = (seed, replication, series, times, channel)
-    shape = np.broadcast_shapes(*map(np.shape, keys))
+    A key block larger than ``KEY_BLOCK`` is taken in row slices along its
+    first axis.  Each slice's words are hashed into the ``uint64`` view of
+    the returned array and transformed there in place."""
+    sample = _LAWS[get_law(law).kind].sample
+    keys = [np.asarray(k) for k in (seed, replication, series, times,
+                                    channel)]
+    shape = np.broadcast_shapes(*(k.shape for k in keys))
+    out = np.empty(shape)
+    bits = out.view(np.uint64)
     if math.prod(shape) <= KEY_BLOCK:
-        return law.sample(raw_words(*keys))
+        sample(raw_words(*keys, out=bits), out)
+        return out
     rows = max(1, KEY_BLOCK // math.prod(shape[1:]))
     # only keys that vary along the first axis are sliced; the others
     # broadcast against every slice
-    keys = [np.asarray(k) for k in keys]
-    out = np.empty(shape)
     for i in range(0, shape[0], rows):
         block = [k[i:i + rows] if k.ndim == len(shape) and len(k) > 1 else k
                  for k in keys]
-        out[i:i + rows] = law.sample(raw_words(*block))
+        sample(raw_words(*block, out=bits[i:i + rows]), out[i:i + rows])
     return out
 
 

@@ -49,6 +49,17 @@ def test_validate_ok(tmp_path, capsys):
     assert main(["validate", path]) == EXIT_OK
 
 
+@pytest.mark.parametrize("target", ["doubling-cos", "preset:doubling-cos"])
+def test_validate_accepts_a_preset_name(target, capsys):
+    assert main(["validate", target]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "ok"
+
+
+def test_validate_rejects_an_unknown_preset_name():
+    assert main(["validate", "preset:no-such-preset"]) == EXIT_PARSE
+    assert main(["validate", "no-such-preset"]) == EXIT_PARSE
+
+
 def test_parse_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

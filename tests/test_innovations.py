@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,17 @@ def test_law_values_hash_calls_stay_within_key_block(monkeypatch):
     assert max(sizes) <= KEY_BLOCK
     # 14 rows of 4609 keys fit in a block: 21 full slices and one of 7
     assert len(sizes) == 22 and sizes[-1] == 7 * 4609
+
+
+@pytest.mark.parametrize("kind", sorted(LAWS))
+def test_law_values_temporaries_stay_within_two_key_blocks(kind):
+    # each block is hashed and transformed inside the returned array, so
+    # beyond it only a block's temporaries are ever live
+    reps, times = np.arange(301)[:, None], np.arange(4609)
+    tracemalloc.start()
+    try:
+        out = law_values(kind, 11, reps, SERIES_BASE, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 2 * KEY_BLOCK * 8 + 64 * 1024

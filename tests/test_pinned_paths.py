@@ -20,6 +20,12 @@ The K = 18 exact-doubling tables reach levels of 2^17 and 2^18 cells, so
 the quadrature runs over more than one 2^16-cell chunk and many row
 blocks inside each.  Their digests were recorded when each chunk was
 evaluated as one (cells x nodes) array.
+
+The law cases pin each innovation law on its own: ``law_values`` over a
+(301, 4609) key block, which takes 22 key blocks, the last one partial,
+and ``sample`` on the edge words 0, 1, 2^63 - 1, 2^63 and 2^64 - 1.
+Their digests were recorded when every block was hashed into a fresh
+array and transformed into another.
 """
 
 import hashlib
@@ -28,7 +34,7 @@ import numpy as np
 import pytest
 
 from weakdep.dependence import theta_gl_surrogate, theta_mc
-from weakdep.innovations import get_law
+from weakdep.innovations import LAWS, SERIES_BASE, get_law, law_values
 from weakdep.processes import (
     DifferenceScheme,
     DoublingModel,
@@ -60,6 +66,7 @@ CANCEL = LinearModel(DifferenceScheme("power", 0.25, 512),
 HOLDER = HolderOfLinearModel(GeometricScheme(0.5, 64),
                              get_law("standard-gaussian"),
                              observable="abs-center", beta=0.5)
+EDGE_WORDS = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
 
 
 def _cases():
@@ -112,6 +119,12 @@ def _cases():
         cases[f"doubling-{obs}-m4-autocov-mc"] = (
             lambda proj=proj: autocovariance(
                 proj, K=4, method="monte-carlo", R=64, seed=11).gamma)
+    for kind in LAWS:
+        cases[f"law-{kind}-values"] = (
+            lambda kind=kind: law_values(kind, 11, np.arange(301)[:, None],
+                                         SERIES_BASE, np.arange(4609)))
+        cases[f"law-{kind}-edge-words"] = (
+            lambda kind=kind: get_law(kind).sample(EDGE_WORDS))
     return cases
 
 
@@ -194,6 +207,22 @@ PINNED = {
         "7e99921f0e733e4ec45b3522cb4ad484b94f85535cce6078057ed2a413abfa46",
     "holder-abs-theta-depth64":
         "0683ed7f110977a4707c057d10005fc2ab3eff2f2751d41ac3e9a765e8eb2c1d",
+    "law-centered-uniform-edge-words":
+        "b97f1d7aa8beba623c197cc4306dccea34efbc672fc6a133c6a2df1e07100a67",
+    "law-centered-uniform-values":
+        "f9a9a24616953276f559e02ac3f3d32a57cfae63cd1ce772cf78bd1eed86d8b9",
+    "law-rademacher-edge-words":
+        "d0f32439d4b1cddcb2025af460f0d26bc927c8368ff2f5ca12e000a5c60f3fec",
+    "law-rademacher-values":
+        "05d5fc1196c9dcd0cb8a88a31dd9f8510154df427094df37ecbfece1e3b7ae06",
+    "law-raw-bit-edge-words":
+        "148f24cdcea79e3e56f81f3a3cdd6d84a73286a1edd3a1e39b3c078619a706a3",
+    "law-raw-bit-values":
+        "6c306ff0216dc72a1f72bf3a6f9f8960040f89dbd88921c0994524c456a0d4f8",
+    "law-standard-gaussian-edge-words":
+        "56f5a10b1a3f5fb10294f318063f238c7f88f11fb7e0427b661746365a169c4a",
+    "law-standard-gaussian-values":
+        "79e6700d5b24216aa7630c2a4c63ff5d1aad05a3a8589abdde86449522168fe0",
 }
 
 CASES = _cases()

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import weakdep
 from weakdep import processes
 from weakdep.dependence import theta_gl_surrogate
 from weakdep.errors import ModelMismatchError, PreconditionError
@@ -333,3 +338,32 @@ def test_gl_surrogate_hashes_exactly_k_steps(hash_calls):
     theta_gl_surrogate(GLdWalkModel(d=2), k, 2.0, R=R, seed=1)
     assert sum(words for _, words, _ in hash_calls) == 2 * R * k
     assert len(hash_calls) == 2 * _block_count(k, R)
+
+
+_BLAS_SUM = """
+import hashlib
+import numpy as np
+from weakdep.innovations import get_law
+from weakdep.processes import DifferenceScheme, LinearModel, partial_sums
+model = LinearModel(DifferenceScheme("power", 0.25, 4096),
+                    get_law("rademacher"))
+sums = partial_sums(model, 7, np.arange(20000), 512)
+print(hashlib.sha256(np.ascontiguousarray(sums).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="LinearModel.partial_sums reduces each chunk with "
+                   "a BLAS gemv, whose bits depend on the OpenBLAS thread "
+                   "count")
+def test_linear_sums_independent_of_blas_threads():
+    src = os.path.dirname(os.path.dirname(weakdep.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_SUM], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
