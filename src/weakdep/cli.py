@@ -123,6 +123,17 @@ def build_model(spec: dict):
     raise ConfigError(f"unknown model variant {v!r}")
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bools, which Python counts as ints
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_threads(threads):
+    if not _is_int(threads) or threads < 1:
+        raise ConfigError(
+            f"threads must be an integer >= 1, got {threads!r}")
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -148,16 +159,13 @@ class ExperimentConfig:
         if task not in _TASKS:
             raise ConfigError(
                 f"task must be one of {tuple(_TASKS)}, got {task!r}")
-        if not isinstance(doc["seed"], int):
-            raise ConfigError("seed must be an integer")
+        if not _is_int(doc["seed"]):
+            raise ConfigError(f"seed must be an integer, got {doc['seed']!r}")
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params must be an object")
-        try:
-            threads = int(doc.get("threads", 1))
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"threads must be an integer, got {doc['threads']!r}") from None
+        threads = doc.get("threads", 1)
+        _check_threads(threads)
         cfg = cls(name=str(doc["name"]), seed=doc["seed"],
                   model_spec=doc["model"], task=task, params=params,
                   out_dir=doc.get("out_dir"), threads=threads)
@@ -612,6 +620,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.threads is not None:
+            _check_threads(args.threads)
             cfg.threads = args.threads
         manifest = run_config(cfg, out_dir=args.out)
         print(json.dumps({"exit": 0, "files": manifest["files"],

@@ -18,6 +18,13 @@ each slice's words are hashed into the ``uint64`` view of the result and
 transformed into values there, in place, so the temporaries stay
 cache-sized however large the request.  A word depends on its key alone,
 so blocked values are bit-identical to a one-shot hash of the same keys.
+
+A word is the splitmix64 finalizer of ``state ^ time * GAMMA``, where
+``state`` is hashed from (seed, replication, series, channel).  The
+finalizer's first round is premixed on those two key parts, so a word
+costs one full-size xor and the four remaining finalizer steps.  Laws
+that read only the sign bit (Rademacher, raw bit) stop before the last
+xorshift, which leaves bit 63 as it is: their values are unchanged.
 """
 
 from __future__ import annotations
@@ -96,18 +103,35 @@ def _stream_state(seed, replication, series, channel=0) -> np.ndarray:
         return _finalize(h ^ (sc * _C_SER + _GAMMA))
 
 
-def raw_words(seed, replication, series, times, channel=0, out=None):
+def raw_words(seed, replication, series, times, channel=0, out=None,
+              sign_only=False):
     """Raw 64-bit words for the given key(s).
 
     ``replication`` and ``times`` may be scalars or arrays; they broadcast
     against each other (a (R, 1) replication column against a (T,) time row
     yields an (R, T) block).  ``out``, a uint64 array of the broadcast
     shape, receives the words if given.
+
+    A word is ``_finalize(state ^ time * GAMMA)``.  A logical shift
+    distributes over xor, so the finalizer's first xorshift is applied to
+    the two small key parts (the state column and the time row) before
+    the one full-size xor that joins them.  With ``sign_only`` the last
+    xorshift, ``z ^= z >> 31``, is skipped: it never changes bit 63, so
+    bit 63 of each returned word is final and bits 0-62 are not.
     """
     state = _stream_state(seed, replication, series, channel)
     with np.errstate(over="ignore"):
-        t = _as_u64(times)
-        return _finalize(np.bitwise_xor(state, t * _GAMMA, out=out))
+        t = _as_u64(times) * _GAMMA
+        # both parts are fresh, so round one may premix them in place
+        state ^= state >> _S30
+        t ^= t >> _S30
+        z = np.bitwise_xor(state, t, out=out)
+        z *= _M1
+        z ^= z >> _S27
+        z *= _M2
+        if not sign_only:
+            z ^= z >> _S31
+        return z
 
 
 def uniform01(words: np.ndarray, out=None) -> np.ndarray:
@@ -149,6 +173,7 @@ class _Law(NamedTuple):
     sample: Callable          # (words, out) -> None; out may alias words
     abs_moment: Callable      # p -> E |eps|^p
     central_moment: Callable  # integer k -> E (eps - E eps)^k
+    sign_only: bool           # sample reads only bit 63 of each word
 
 
 # one row per law; every moment is analytic
@@ -159,21 +184,25 @@ _LAWS = {
             0.5 * p * np.log(2.0) + gammaln((p + 1) / 2.0)
             - 0.5 * np.log(np.pi))),
         central_moment=lambda k: 0.0 if k % 2 else (
-            float(np.prod(np.arange(1, k, 2, dtype=float))) if k else 1.0)),
+            float(np.prod(np.arange(1, k, 2, dtype=float))) if k else 1.0),
+        sign_only=False),
     "rademacher": _Law(
         sample=_rademacher,
         abs_moment=lambda p: 1.0,
-        central_moment=lambda k: 0.0 if k % 2 else 1.0),
+        central_moment=lambda k: 0.0 if k % 2 else 1.0,
+        sign_only=True),
     # uniform on [-sqrt(3), sqrt(3)]
     "centered-uniform": _Law(
         sample=_centered_uniform,
         abs_moment=lambda p: float(3.0 ** (p / 2.0) / (p + 1.0)),
         central_moment=lambda k: 0.0 if k % 2 else float(
-            3.0 ** (k / 2) / (k + 1.0))),
+            3.0 ** (k / 2) / (k + 1.0)),
+        sign_only=False),
     "raw-bit": _Law(
         sample=_raw_bit,
         abs_moment=lambda p: 0.5,
-        central_moment=lambda k: 0.0 if k % 2 else 0.5 ** k),
+        central_moment=lambda k: 0.0 if k % 2 else 0.5 ** k,
+        sign_only=True),
 }
 
 
@@ -221,15 +250,17 @@ def law_values(law, seed, replication, series, times, channel=0) -> np.ndarray:
 
     A key block larger than ``KEY_BLOCK`` is taken in row slices along its
     first axis.  Each slice's words are hashed into the ``uint64`` view of
-    the returned array and transformed there in place."""
-    sample = _LAWS[get_law(law).kind].sample
+    the returned array and transformed there in place.  A law that reads
+    only bit 63 gets sign-only words (see ``raw_words``)."""
+    row = _LAWS[get_law(law).kind]
+    sample, sign_only = row.sample, row.sign_only
     keys = [np.asarray(k) for k in (seed, replication, series, times,
                                     channel)]
     shape = np.broadcast_shapes(*(k.shape for k in keys))
     out = np.empty(shape)
     bits = out.view(np.uint64)
     if math.prod(shape) <= KEY_BLOCK:
-        sample(raw_words(*keys, out=bits), out)
+        sample(raw_words(*keys, out=bits, sign_only=sign_only), out)
         return out
     rows = max(1, KEY_BLOCK // math.prod(shape[1:]))
     # only keys that vary along the first axis are sliced; the others
@@ -237,7 +268,8 @@ def law_values(law, seed, replication, series, times, channel=0) -> np.ndarray:
     for i in range(0, shape[0], rows):
         block = [k[i:i + rows] if k.ndim == len(shape) and len(k) > 1 else k
                  for k in keys]
-        sample(raw_words(*block, out=bits[i:i + rows]), out[i:i + rows])
+        sample(raw_words(*block, out=bits[i:i + rows], sign_only=sign_only),
+               out[i:i + rows])
     return out
 
 

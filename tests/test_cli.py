@@ -370,10 +370,28 @@ def test_doubling_variance_lag_cap_boundary(tmp_path):
     assert main(["validate", path]) == EXIT_OK
 
 
-def test_validate_and_run_reject_non_integer_threads(tmp_path):
-    path = _write(tmp_path, {**BASE, "threads": "x"})
+@pytest.mark.parametrize("doc", [
+    {**BASE, "threads": "x"},
+    {**BASE, "threads": 0},
+    {**BASE, "threads": -2},
+    {**BASE, "threads": 2.7},
+    {**BASE, "threads": True},
+    {**BASE, "threads": "4"},
+    {**BASE, "seed": True},
+], ids=["threads-x", "threads-0", "threads-neg", "threads-float",
+        "threads-bool", "threads-str", "seed-bool"])
+def test_validate_and_run_reject_non_integer_threads(tmp_path, doc):
+    path = _write(tmp_path, doc)
     assert main(["validate", path]) == EXIT_PARSE
     assert main(["run", path, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_run_rejects_threads_flag_below_one(tmp_path, threads):
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, BASE), "--out", str(out),
+                 "--threads", threads]) == EXIT_PARSE
+    assert not out.exists()
 
 
 def _usual_validate_cases():

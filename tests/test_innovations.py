@@ -8,6 +8,7 @@ from weakdep.errors import PreconditionError
 from weakdep.innovations import (
     KEY_BLOCK,
     LAWS,
+    SERIES_AUX,
     SERIES_BASE,
     SERIES_PRIME,
     draw_window,
@@ -220,3 +221,87 @@ def test_law_values_temporaries_stay_within_two_key_blocks(kind):
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes <= 2 * KEY_BLOCK * 8 + 64 * 1024
+
+
+# An independent definition of the stream on Python ints, mod 2^64: the
+# seed, replication and series/channel stages build the key prefix, then
+# the time is mixed in and finalized.
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _ref_finalize(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+def _ref_word(seed, replication, series, time, channel=0):
+    h = _ref_finalize((seed + _GAMMA) & _MASK)
+    h = _ref_finalize(h ^ ((replication * 0xD1342543DE82EF95 + _GAMMA)
+                           & _MASK))
+    sc = (series + (channel << 8)) & _MASK
+    h = _ref_finalize(h ^ ((sc * 0xAF251AF3B0F025B5 + _GAMMA) & _MASK))
+    return _ref_finalize(h ^ (time * _GAMMA & _MASK))
+
+
+def _ref_block(seed, replication, series, times, channel=0):
+    reps, ts, chans = np.broadcast_arrays(replication, times, channel)
+    return np.array([_ref_word(seed, int(r), series, int(t), int(c))
+                     for r, t, c in zip(reps.flat, ts.flat, chans.flat)],
+                    dtype=np.uint64).reshape(reps.shape)
+
+
+@pytest.mark.parametrize("seed", [0, 11, -7, 2**62 + 3])
+@pytest.mark.parametrize("series", [SERIES_BASE, SERIES_PRIME, SERIES_AUX])
+@pytest.mark.parametrize("channel", [0, 1, 300])
+def test_raw_words_match_reference_scalar_keys(seed, series, channel):
+    for rep, t in ((0, 0), (3, 7), (-1, 5), (4, -9), (-2**40, -2**50)):
+        expected = _ref_word(seed, rep, series, t, channel)
+        assert int(raw_words(seed, rep, series, t, channel)) == expected
+
+
+@pytest.mark.parametrize("series", [SERIES_BASE, SERIES_PRIME, SERIES_AUX])
+def test_raw_words_match_reference_blocks(series):
+    # (rows, 1) x (T,): the law_values layout
+    reps, times = np.arange(-3, 6)[:, None], np.arange(-20, 45)
+    assert np.array_equal(raw_words(9, reps, series, times),
+                          _ref_block(9, reps, series, times))
+    # (steps, 1) x (R,): the doubling and GL step-kernel layout
+    ks, reps = np.arange(1, 12)[:, None], np.arange(50)
+    for channel in (0, 1):
+        assert np.array_equal(raw_words(9, reps, series, ks, channel),
+                              _ref_block(9, reps, series, ks, channel))
+
+
+def test_raw_words_match_reference_with_out():
+    reps, times = np.arange(7)[:, None], np.arange(-30, 30)
+    out = np.empty((7, 60), dtype=np.uint64)
+    got = raw_words(4, reps, SERIES_BASE, times, 300, out=out)
+    assert got is out
+    assert np.array_equal(out, _ref_block(4, reps, SERIES_BASE, times, 300))
+
+
+def test_sign_only_laws_read_only_bit_63():
+    words = raw_words(5, np.arange(64)[:, None], SERIES_BASE, np.arange(64))
+    scramble = raw_words(6, np.arange(64)[:, None], SERIES_BASE,
+                         np.arange(64)) & np.uint64((1 << 63) - 1)
+    sign_only = [kind for kind, row in innovations._LAWS.items()
+                 if row.sign_only]
+    assert sorted(sign_only) == ["rademacher", "raw-bit"]
+    for kind in sign_only:
+        law = get_law(kind)
+        assert (law.sample(words).tobytes()
+                == law.sample(words ^ scramble).tobytes())
+
+
+def test_sign_only_words_keep_bit_63():
+    # a full block: the shortcut is taken (low bits differ) and sound (the
+    # sign bit does not)
+    reps, times = np.arange(16)[:, None], np.arange(-2048, 2048)
+    full = raw_words(13, reps, SERIES_BASE, times)
+    short = raw_words(13, reps, SERIES_BASE, times, sign_only=True)
+    assert full.size == KEY_BLOCK
+    assert np.array_equal(full >> np.uint64(63), short >> np.uint64(63))
+    low = np.uint64((1 << 63) - 1)
+    assert np.all(full & low != short & low)
