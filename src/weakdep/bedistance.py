@@ -17,7 +17,6 @@ from scipy.special import ndtr
 
 from .errors import (
     DegenerateVarianceError,
-    ModelMismatchError,
     PreconditionError,
     check_replications,
 )
@@ -156,8 +155,6 @@ def exact_delta_gaussian_linear(scheme: CoefficientScheme, n: int,
                                 seed: int = 0) -> BEEstimate:
     """Closed-form Delta_n for the linear model with standard-Gaussian
     innovations: S_n is exactly normal with variance E S_n^2."""
-    if not isinstance(scheme, CoefficientScheme):
-        raise ModelMismatchError("expected a coefficient scheme")
     check_estimate(normalization)
     if normalization == "sqrt-ESn2":
         delta = 0.0

@@ -20,7 +20,6 @@ from .rates import loglog_wls
 
 __all__ = [
     "boundary_B",
-    "ThetaEstimate",
     "ProfileEntry",
     "DependenceProfile",
     "AssumptionSpec",
@@ -43,14 +42,6 @@ def boundary_B(p: float) -> float:
     if p == 0:
         raise PreconditionError("p must be nonzero")
     return 0.5 + min(p, 3.0) / (2.0 * p) - 1.0 / p
-
-
-@dataclass(frozen=True)
-class ThetaEstimate:
-    theta_prime: float
-    theta_star: float
-    se_prime: float
-    se_star: float
 
 
 @dataclass(frozen=True)
@@ -120,7 +111,7 @@ def _bootstrap_se(powers: np.ndarray, p: float, seed_material: int) -> float:
 
 
 def theta_mc(model, l: int, p: float, R: int, seed: int = 0,
-             rep_start: int = 0) -> ThetaEstimate:
+             rep_start: int = 0) -> ProfileEntry:
     """Monte Carlo theta'_l(p), theta*_l(p) from coupled windows: the base
     and filtered evaluations share every innovation except the substituted
     ones, so the difference isolates the dependence on lag l."""
@@ -142,7 +133,7 @@ def theta_mc(model, l: int, p: float, R: int, seed: int = 0,
     theta_star = float(np.mean(pow_star) ** (1.0 / p))
     se_prime = _bootstrap_se(pow_prime, p, (seed << 8) ^ (2 * l))
     se_star = _bootstrap_se(pow_star, p, (seed << 8) ^ (2 * l + 1))
-    return ThetaEstimate(theta_prime, theta_star, se_prime, se_star)
+    return ProfileEntry(l, theta_prime, theta_star, se_prime, se_star)
 
 
 def _gl_probe_pairs(d: int):
@@ -181,13 +172,9 @@ def theta_gl_surrogate(model, k: int, p: float, R: int,
 
 def dependence_profile(model, p: float, l_grid, R: int,
                        seed: int = 0) -> DependenceProfile:
-    entries = []
-    for i, l in enumerate(l_grid):
-        est = theta_mc(model, int(l), p, R, seed=seed, rep_start=i * R)
-        entries.append(ProfileEntry(int(l), est.theta_prime, est.theta_star,
-                                    est.se_prime, est.se_star))
-    return DependenceProfile(p=p, entries=tuple(entries),
-                             mode="monte-carlo", R=R)
+    entries = tuple(theta_mc(model, int(l), p, R, seed=seed, rep_start=i * R)
+                    for i, l in enumerate(l_grid))
+    return DependenceProfile(p=p, entries=entries, mode="monte-carlo", R=R)
 
 
 def check_closed_form(p: float) -> None:

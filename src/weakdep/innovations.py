@@ -30,7 +30,7 @@ xorshift, which leaves bit 63 as it is: their values are unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,15 +44,11 @@ __all__ = [
     "SERIES_AUX",
     "KEY_BLOCK",
     "InnovationLaw",
-    "InnovationWindow",
     "LAWS",
     "get_law",
     "raw_words",
     "uniform01",
     "law_values",
-    "draw_window",
-    "primed_window",
-    "starred_window",
 ]
 
 SERIES_BASE = 0
@@ -272,62 +268,3 @@ def law_values(law, seed, replication, series, times, channel=0) -> np.ndarray:
                out[i:i + rows])
     return out
 
-
-@dataclass(frozen=True)
-class InnovationWindow:
-    """The most recent ``depth`` innovations of one replication at time
-    ``anchor``, newest first: values[j] is the innovation at time anchor - j.
-
-    The key prefix is carried along so coupled variants can be derived.
-    ``primed`` marks, per slot, whether the value was taken from the primed
-    series instead of the base series.
-    """
-
-    seed: int
-    replication: int
-    law: InnovationLaw
-    anchor: int
-    values: np.ndarray
-    primed: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return len(self.values)
-
-
-def draw_window(law, seed, replication, anchor, depth,
-                series=SERIES_BASE) -> InnovationWindow:
-    """Materialise a depth-``depth`` window ending at time ``anchor``."""
-    law = get_law(law)
-    times = anchor - np.arange(depth)
-    values = law_values(law, seed, replication, series, times)
-    return InnovationWindow(seed=int(seed), replication=int(replication),
-                            law=law, anchor=int(anchor), values=values,
-                            primed=np.zeros(depth, dtype=bool))
-
-
-def _prime_slots(window: InnovationWindow, slots: np.ndarray) -> InnovationWindow:
-    times = window.anchor - slots
-    fresh = law_values(window.law, window.seed, window.replication,
-                       SERIES_PRIME, times)
-    values = window.values.copy()
-    values[slots] = fresh
-    primed = window.primed.copy()
-    primed[slots] = True
-    return replace(window, values=values, primed=primed)
-
-
-def primed_window(window: InnovationWindow, lag: int) -> InnovationWindow:
-    """Replace only the innovation at time anchor - lag by its primed copy."""
-    if not 0 <= lag < window.depth:
-        raise PreconditionError(
-            f"lag {lag} outside window of depth {window.depth}")
-    return _prime_slots(window, np.array([lag]))
-
-
-def starred_window(window: InnovationWindow, lag: int) -> InnovationWindow:
-    """Replace the innovations at times <= anchor - lag by primed copies."""
-    if not 0 <= lag < window.depth:
-        raise PreconditionError(
-            f"lag {lag} outside window of depth {window.depth}")
-    return _prime_slots(window, np.arange(lag, window.depth))

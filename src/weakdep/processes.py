@@ -1,7 +1,7 @@
 """Bernoulli-shift process zoo.
 
-Models evaluate X_k = g(eps_k, eps_{k-1}, ...) on innovation windows and
-come with fast vectorized path / partial-sum engines:
+Models are functions X_k = g(eps_k, eps_{k-1}, ...) of the innovation
+stream and come with fast vectorized path / partial-sum engines:
 
 * ``LinearModel`` — moving averages X_k = sum_j alpha_j eps_{k-j} with
   explicit, power-law, geometric or telescoping-difference coefficient
@@ -50,7 +50,6 @@ from .innovations import (
     SERIES_AUX,
     SERIES_BASE,
     InnovationLaw,
-    InnovationWindow,
     get_law,
     law_values,
     raw_words,
@@ -68,7 +67,6 @@ __all__ = [
     "DoublingModel",
     "DoublingProjectedModel",
     "GLdWalkModel",
-    "evaluate",
     "sample_path",
     "partial_sums",
     "truncation_error",
@@ -144,6 +142,12 @@ class CoefficientScheme:
 
         return C_at(khi - t) - C_at(klo - 1 - t)
 
+    def sum_variance(self, n: int) -> float:
+        """E S_n^2 of the linear model on the stored scheme with unit-variance
+        innovations, summed exactly over its Beveridge-Nelson weights."""
+        w = self.sum_weights(1, n, np.arange(2 - self.length, n + 1))
+        return float(np.dot(w, w))
+
 
 @dataclass(frozen=True)
 class ExplicitScheme(CoefficientScheme):
@@ -198,12 +202,34 @@ class PowerLawScheme(CoefficientScheme):
     def beyond_length_sumsq(self) -> float:
         return float(hurwitz_zeta(2.0 * self.a, self.length))
 
-    def analytic_cumsum(self, tmax: int) -> np.ndarray:
-        """Untruncated partial sums C(t) = sum_{j<=t} j^-a, t = 0..tmax."""
-        j = np.arange(tmax + 1, dtype=np.float64)
-        terms = np.zeros(tmax + 1)
-        terms[1:] = j[1:] ** (-self.a)
-        return np.cumsum(terms)
+    def sum_variance(self, n: int) -> float:
+        """E S_n^2 for the *untruncated* sequence: present part
+        sum_{s<n} C(s)^2 plus infinite past sum_{i>=0} (C(n+i) - C(i))^2,
+        the far past handled by a midpoint/quad Euler-Maclaurin tail."""
+        a = self.a
+        if a <= 1.0:
+            raise PreconditionError("untruncated E S_n^2 needs a > 1")
+        direct = 8 * n
+        j = np.arange(direct + n + 1, dtype=np.float64)
+        terms = np.zeros(direct + n + 1)
+        terms[1:] = j[1:] ** (-a)
+        H = np.cumsum(terms)  # H[t] = C(t), untruncated
+        present = float(np.dot(H[:n], H[:n]))
+        i = np.arange(direct)
+        D = H[n + i] - H[i]
+        past = float(np.dot(D, D))
+
+        def h(x):
+            return ((x + 0.5) ** (1 - a) - (x + n + 0.5) ** (1 - a)) ** 2 \
+                / (a - 1) ** 2
+
+        from scipy.integrate import quad
+
+        # map (c, inf) to (0, 1] via x = c/t: keeps quad off the slowly
+        # decaying infinite range, where it loses accuracy for large n
+        c = direct - 0.5
+        tail, _ = quad(lambda t: h(c / t) * c / t ** 2, 0.0, 1.0, limit=200)
+        return present + past + float(tail)
 
 
 @dataclass(frozen=True)
@@ -279,15 +305,6 @@ class DifferenceScheme(CoefficientScheme):
 # ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
-
-def _check_window(model, w: InnovationWindow):
-    if w.depth < model.required_depth:
-        raise PreconditionError(
-            f"window depth {w.depth} < required depth {model.required_depth}")
-    if w.law.kind != model.law.kind:
-        raise ModelMismatchError(
-            f"window law {w.law.kind!r} != model law {model.law.kind!r}")
-
 
 class _WindowModel:
     """A model read off a fixed-depth innovation window: ``evaluate_values``
@@ -729,13 +746,6 @@ def _capability(model, name: str):
     return method
 
 
-def evaluate(model, w: InnovationWindow) -> float:
-    """X at the window's anchor time."""
-    readout = _capability(model, "evaluate_values")
-    _check_window(model, w)
-    return float(readout(w.values[:model.required_depth]))
-
-
 def _by_chunks(reps: np.ndarray, row_len: int, fn) -> np.ndarray:
     """fn over fixed-size replication chunks, concatenated."""
     out = np.empty(len(reps))
@@ -756,7 +766,7 @@ def partial_sums(model, seed, replications, n: int) -> np.ndarray:
 
 
 def sample_path(model, seed, replication, n: int) -> np.ndarray:
-    """X_1..X_n for one replication; entries equal window evaluations."""
+    """X_1..X_n for one replication: its row of the model's path matrix."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
     return _capability(model, "paths")(seed, np.asarray([replication]), n)[0]

@@ -21,7 +21,7 @@ from .errors import (
     ModelMismatchError,
     PreconditionError,
 )
-from .processes import CoefficientScheme, PowerLawScheme, partial_sums
+from .processes import CoefficientScheme, partial_sums
 
 __all__ = [
     "AutocovarianceTable",
@@ -240,47 +240,17 @@ def longrun_variance(table: AutocovarianceTable) -> LongRunVariance:
                            exact_linear=exact, note=note)
 
 
-def _power_law_sum_variance(scheme: PowerLawScheme, n: int) -> float:
-    """E S_n^2 for the untruncated power-law scheme: present part
-    sum_{s<n} C(s)^2 plus infinite past sum_{i>=0} (C(n+i) - C(i))^2, the
-    far past handled by a midpoint/quad Euler-Maclaurin tail."""
-    a = scheme.a
-    if a <= 1.0:
-        raise PreconditionError("untruncated E S_n^2 needs a > 1")
-    direct = 8 * n
-    H = scheme.analytic_cumsum(direct + n)  # H[t] = C(t)
-    present = float(np.dot(H[:n], H[:n]))
-    i = np.arange(direct)
-    D = H[n + i] - H[i]
-    past = float(np.dot(D, D))
-
-    def h(x):
-        return ((x + 0.5) ** (1 - a) - (x + n + 0.5) ** (1 - a)) ** 2 \
-            / (a - 1) ** 2
-
-    from scipy.integrate import quad
-
-    # map (c, inf) to (0, 1] via x = c/t: keeps quad off the slowly
-    # decaying infinite range, where it loses accuracy for large n
-    c = direct - 0.5
-    tail, _ = quad(lambda t: h(c / t) * c / t ** 2, 0.0, 1.0, limit=200)
-    return present + past + float(tail)
-
-
 def exact_sum_variance_linear(scheme: CoefficientScheme, n: int) -> float:
     """E S_n^2 for a linear model with unit-variance innovations.
 
-    Truncated schemes are summed exactly through their Beveridge-Nelson
-    weights; the power-law scheme is evaluated for the *untruncated*
-    sequence (its tail is analytic), so rate studies see no truncation
-    bias.
+    The scheme's ``sum_variance`` answers: truncated schemes are summed
+    exactly through their Beveridge-Nelson weights; the power-law scheme is
+    evaluated for the *untruncated* sequence (its tail is analytic), so
+    rate studies see no truncation bias.
     """
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    if isinstance(scheme, PowerLawScheme):
-        return _power_law_sum_variance(scheme, n)
-    w = scheme.sum_weights(1, n, np.arange(2 - scheme.length, n + 1))
-    return float(np.dot(w, w))
+    return scheme.sum_variance(n)
 
 
 def sum_variance(model, n: int, seed: int = 0, R: int = 4096) -> float:

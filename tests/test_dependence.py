@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from coupling_reference import (
+    draw_window,
+    evaluate,
+    primed_window,
+    starred_window,
+)
 
 from weakdep.dependence import (
     AssumptionSpec,
@@ -11,12 +17,7 @@ from weakdep.dependence import (
     theta_mc,
 )
 from weakdep.errors import ModelMismatchError, PreconditionError
-from weakdep.innovations import (
-    draw_window,
-    get_law,
-    primed_window,
-    starred_window,
-)
+from weakdep.innovations import get_law
 from weakdep.processes import (
     DoublingModel,
     GeometricScheme,
@@ -24,7 +25,6 @@ from weakdep.processes import (
     HolderOfLinearModel,
     LinearModel,
     PowerLawScheme,
-    evaluate,
     identity_scheme,
 )
 

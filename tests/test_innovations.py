@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from coupling_reference import draw_window, primed_window, starred_window
 
 from weakdep import innovations
 from weakdep.errors import PreconditionError
@@ -11,12 +12,9 @@ from weakdep.innovations import (
     SERIES_AUX,
     SERIES_BASE,
     SERIES_PRIME,
-    draw_window,
     get_law,
     law_values,
-    primed_window,
     raw_words,
-    starred_window,
     uniform01,
 )
 

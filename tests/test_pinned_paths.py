@@ -69,6 +69,13 @@ HOLDER = HolderOfLinearModel(GeometricScheme(0.5, 64),
 EDGE_WORDS = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
 
 
+def _theta(model, l):
+    """The four numbers of a theta_mc entry, without its lag, in the order
+    their digests were recorded."""
+    e = theta_mc(model, l, 2.0, R=1000, seed=3)
+    return [e.theta_prime, e.theta_star, e.se_prime, e.se_star]
+
+
 def _cases():
     cases = {
         "gl2-sample-path": lambda: sample_path(GL2, 7, 3, 40),
@@ -81,8 +88,7 @@ def _cases():
             theta_gl_surrogate(GL2, 3, 2.0, R=500, seed=2)),
         "cancel-partial-sums-wide": lambda: partial_sums(
             CANCEL, 7, np.arange(300), 64),
-        "holder-abs-theta-depth64": lambda: list(vars(theta_mc(
-            HOLDER, 5, 2.0, R=1000, seed=3)).values()),
+        "holder-abs-theta-depth64": lambda: _theta(HOLDER, 5),
         "doubling-cos2pi-partial-sums-wide": lambda: partial_sums(
             DoublingModel("cos2pi"), 7, WIDE_REPS, 40),
         "gl2-partial-sums-wide": lambda: partial_sums(GL2, 7, WIDE_REPS, 40),
@@ -112,8 +118,7 @@ def _cases():
                                  for J in (0, 3, 17)])
         for tag, m in (("", model), ("-m4", proj)):
             cases[f"doubling-{obs}{tag}-theta"] = (
-                lambda m=m: list(vars(theta_mc(m, 2, 2.0, R=1000,
-                                               seed=3)).values()))
+                lambda m=m: _theta(m, 2))
         cases[f"doubling-{obs}-m4-partial-sums"] = (
             lambda proj=proj: partial_sums(proj, 7, REPS, 40))
         cases[f"doubling-{obs}-m4-autocov-mc"] = (

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from coupling_reference import InnovationWindow, draw_window, evaluate
 from scipy.stats import ks_2samp
 
 import weakdep
@@ -12,8 +13,6 @@ from weakdep.dependence import theta_gl_surrogate
 from weakdep.errors import ModelMismatchError, PreconditionError
 from weakdep.innovations import (
     KEY_BLOCK,
-    InnovationWindow,
-    draw_window,
     get_law,
     law_values,
     raw_words,
@@ -27,7 +26,6 @@ from weakdep.processes import (
     HolderOfLinearModel,
     LinearModel,
     PowerLawScheme,
-    evaluate,
     identity_scheme,
     m_project,
     partial_sums,

@@ -1,9 +1,11 @@
 """Structural rules of the package, checked on its source.
 
-Per-family behaviour lives on the model classes in ``processes``: no
-module tests a model's class, the consumer modules reach the models only
-through the public functions and the model methods, and the command line
-names a model class only where it builds the model from a config.  The
+Per-family behaviour lives on the model and coefficient-scheme classes in
+``processes``: no module tests a model's or a scheme's class, the consumer
+modules reach the models only through the public functions and the model
+methods, and the command line names a model class only where it builds the
+model from a config.  ``dependence.theta_mc`` is the one coupling
+construction: the scalar window reference lives in the tests.  The
 Delta_n grid runner in ``rates`` is the one place that maps a grid, with or
 without threads, and the command line reaches it and its checks through
 public names only.  Starting the command line loads ``scipy.special``
@@ -20,18 +22,25 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "weakdep"
 PUBLIC_MODELS = {"LinearModel", "HolderOfLinearModel", "DoublingModel",
                  "DoublingProjectedModel", "GLdWalkModel"}
 CONSUMERS = ("variance", "blocks", "bedistance", "rates", "dependence")
+# the scalar window coupling of tests/coupling_reference.py
+WINDOW_API = {"InnovationWindow", "draw_window", "primed_window",
+              "starred_window", "_prime_slots", "evaluate", "_check_window"}
 
 
 def _tree(module: str) -> ast.Module:
     return ast.parse((SRC / f"{module}.py").read_text(), f"{module}.py")
 
 
+def _bases() -> dict:
+    return {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+            for node in ast.walk(_tree("processes"))
+            if isinstance(node, ast.ClassDef)}
+
+
 def _model_classes() -> set:
     """The public model classes and every class in processes that they
     derive from."""
-    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
-             for node in ast.walk(_tree("processes"))
-             if isinstance(node, ast.ClassDef)}
+    bases = _bases()
     models, todo = set(), list(PUBLIC_MODELS)
     while todo:
         name = todo.pop()
@@ -41,13 +50,22 @@ def _model_classes() -> set:
     return models
 
 
+def _scheme_classes() -> set:
+    """CoefficientScheme and every class in processes derived from it."""
+    bases = _bases()
+    schemes = {"CoefficientScheme"}
+    while new := {n for n, bs in bases.items() if schemes & set(bs)} - schemes:
+        schemes |= new
+    return schemes
+
+
 def _names(node) -> set:
     return {n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
 def test_no_module_tests_a_model_class():
-    models = _model_classes()
+    models = _model_classes() | _scheme_classes()
     sites = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
@@ -56,6 +74,15 @@ def test_no_module_tests_a_model_class():
              and node.func.id == "isinstance" and len(node.args) == 2
              and _names(node.args[1]) & models]
     assert sites == []
+
+
+def test_no_module_defines_the_window_coupling():
+    defined = [f"{path.name}:{node.lineno} {node.name}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in WINDOW_API]
+    assert defined == []
 
 
 def test_consumers_import_no_model_internals():
