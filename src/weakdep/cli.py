@@ -3,7 +3,10 @@
 ``weakdep run config.json`` executes one experiment described by a JSON
 document and persists CSV/JSON results, plot-data files and a run
 manifest.  Identical (config, seed) runs reproduce every output file
-bit-exactly, independent of thread count.  Exit codes: 0 success,
+bit-exactly, independent of ``threads``.  The BLAS thread count is the
+one exception: linear-model Monte Carlo sums reduce with a BLAS
+matrix-vector product whose bits depend on it (README, Determinism).
+Exit codes: 0 success,
 1 runtime failure, 2 config parse error, 3 precondition violation,
 4 degenerate variance.
 

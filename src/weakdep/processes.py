@@ -24,14 +24,16 @@ it), and the public functions here turn a missing one into
 capability                linear   Hoelder  doubling  projected  GL walk
 ------------------------  -------  -------  --------  ---------  -------
 ``paths`` (reps x n)      conv.    conv.    register  register   gains
-``partial_sums``          B-N      paths    paths     paths      stream
+``partial_sums``          B-N      paths    pairwise  pairwise   stream
 ``truncation_error(J)``   yes      yes      yes       -          -
 ``m_project(m)``          yes      -        yes       -          -
 ``exact_autocovariance``  linear   -        doubling  -          -
 
 conv. is the convolution shared by the linear and Hoelder models, which
 differ only in their readout of Y; projected is ``DoublingProjectedModel``;
-B-N is the Beveridge-Nelson weighted innovation sum.  ``m_project`` gives
+B-N is the Beveridge-Nelson weighted innovation sum; pairwise is numpy's
+row-sum order, fed step by step from the register loop that ``paths``
+also runs, with no path matrix.  ``m_project`` gives
 X_{k,m} = E[X_k | eps_k .. eps_{k-m+1}] where it has a closed form.
 """
 
@@ -505,6 +507,43 @@ def _pack_bits(values: np.ndarray, nbits: int) -> np.ndarray:
     return (bits << shifts).sum(axis=-1, dtype=np.uint64)
 
 
+# numpy's pairwise summation: a row is halved until a leaf holds at most
+# _PW_LEAF values, and a leaf of 8 or more is summed in 8 interleaved
+# accumulators
+_PW_LEAF = 128
+
+
+def _pairwise(values, n: int) -> np.ndarray:
+    if n > _PW_LEAF:
+        half = n // 2
+        half -= half % 8
+        return _pairwise(values, half) + _pairwise(values, n - half)
+    if n < 8:
+        res = next(values) + 0.0
+        for _ in range(n - 1):
+            res += next(values)
+        return res
+    r = [next(values).copy() for _ in range(8)]
+    for _ in range(n // 8 - 1):
+        for acc in r:
+            acc += next(values)
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for _ in range(n % 8):
+        res += next(values)
+    return res
+
+
+def _row_sums(values, n: int) -> np.ndarray:
+    """The elementwise sum of the next n arrays of the iterator ``values``,
+    bit for bit what ``ndarray.sum(axis=1)`` gives on the matrix with those
+    arrays as its columns, without building that matrix.  The arrays are
+    read, never written."""
+    total = _pairwise(values, n)
+    # the reduction starts from the identity, so -0.0 sums to +0.0
+    total += 0.0
+    return total
+
+
 class _DoublingRegister(_WindowModel):
     """The doubling models hold the newest ``nbits`` innovation bits in an
     integer register and read X off it with ``register_value``."""
@@ -520,25 +559,41 @@ class _DoublingRegister(_WindowModel):
     def evaluate_values(self, values: np.ndarray) -> np.ndarray:
         return self.register_value(_pack_bits(values, self.nbits))
 
-    def paths(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
-        out = np.empty((len(reps), n))
+    def _steps(self, seed, reps: np.ndarray, n: int):
+        """X_1..X_n over ``reps``: one fresh (len(reps),) array per step.
+
+        The register invariant w < 2^nbits holds throughout, so shifting
+        the newest bit in needs no mask."""
         nbits = self.nbits
-        col = reps[:, None]
         # seed the register with the pre-sample bits
         init_times = 1 - nbits + np.arange(nbits)
-        words = raw_words(seed, col, SERIES_BASE, init_times)
-        bits = (words >> np.uint64(63)).astype(np.float64)
-        w = _pack_bits(bits[:, ::-1], nbits)
-        shift_in = np.uint64(nbits - 1)
-        mask = (np.uint64(1) << np.uint64(nbits)) - np.uint64(1) \
-            if nbits < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
+        words = raw_words(seed, reps[:, None], SERIES_BASE, init_times,
+                          sign_only=True)
+        words >>= np.uint64(63)
+        w = _pack_bits(words[:, ::-1], nbits)
         for ks in _step_blocks(len(reps), n):
-            bits = raw_words(seed, reps, SERIES_BASE, ks[:, None]) \
-                >> np.uint64(63)
-            for k, bit in zip(ks, bits):
-                w = ((w >> np.uint64(1)) | (bit << shift_in)) & mask
-                out[:, k - 1] = self.register_value(w)
+            bits = raw_words(seed, reps, SERIES_BASE, ks[:, None],
+                             sign_only=True)
+            # each word's sign bit, moved to the newest register position
+            if nbits == 64:
+                bits &= _TWO63
+            else:
+                bits >>= np.uint64(63)
+                bits <<= np.uint64(nbits - 1)
+            for bit in bits:
+                w >>= np.uint64(1)
+                w |= bit
+                yield self.register_value(w)
+
+    def paths(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
+        out = np.empty((len(reps), n))
+        for k, x in enumerate(self._steps(seed, reps, n)):
+            out[:, k] = x
         return out
+
+    def partial_sums(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
+        return _by_chunks(reps, n + self.required_depth, lambda chunk:
+                          _row_sums(self._steps(seed, chunk, n), n))
 
 
 @dataclass(frozen=True)

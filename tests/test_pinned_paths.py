@@ -16,6 +16,11 @@ loops over enough replications that the steps are hashed in several
 blocks, the last one partial.  Their digests were recorded when every
 chunk was hashed in one call and every step in a call of its own.
 
+The long-row doubling cases sum rows of 129 and 520 values, past one
+128-value leaf of numpy's pairwise row sum, for every observable and its
+m = 4 projection.  Their digests were recorded when S_n was the row sum
+of the doubling path matrix.
+
 The K = 18 exact-doubling tables reach levels of 2^17 and 2^18 cells, so
 the quadrature runs over more than one 2^16-cell chunk and many row
 blocks inside each.  Their digests were recorded when each chunk was
@@ -66,6 +71,9 @@ CANCEL = LinearModel(DifferenceScheme("power", 0.25, 512),
 HOLDER = HolderOfLinearModel(GeometricScheme(0.5, 64),
                              get_law("standard-gaussian"),
                              observable="abs-center", beta=0.5)
+# rows past one 128-value leaf of numpy's pairwise sum: one split, and
+# two levels of splits with a ragged last leaf
+LONG_ROWS = (129, 520)
 EDGE_WORDS = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
 
 
@@ -121,6 +129,10 @@ def _cases():
                 lambda m=m: _theta(m, 2))
         cases[f"doubling-{obs}-m4-partial-sums"] = (
             lambda proj=proj: partial_sums(proj, 7, REPS, 40))
+        for n in LONG_ROWS:
+            for tag, m in (("", model), ("-m4", proj)):
+                cases[f"doubling-{obs}{tag}-partial-sums-n{n}"] = (
+                    lambda m=m, n=n: partial_sums(m, 7, REPS, n))
         cases[f"doubling-{obs}-m4-autocov-mc"] = (
             lambda proj=proj: autocovariance(
                 proj, K=4, method="monte-carlo", R=64, seed=11).gamma)
@@ -144,10 +156,18 @@ PINNED = {
         "368fd62c164177361385c3b9dbb5403feb04bdd6a31d01a093eb647d1deb7acb",
     "doubling-centered-x-m4-partial-sums":
         "a1018346d139d2414ea715a914b2d4f9da253ae75e7c6a02a837d2ec6368cba7",
+    "doubling-centered-x-m4-partial-sums-n129":
+        "8ccfb3fc2486f83abbc0039487128b993283f1bb9a8ba52fccd4764ab3344733",
+    "doubling-centered-x-m4-partial-sums-n520":
+        "f79cb380f4f2860045cda48f749770c6a90f43756e70b629088d3fefcaf8d520",
     "doubling-centered-x-m4-theta":
         "65d4c594c13aa49945850c649acf7ebc9b95058bf3bb575777279af2e1f7696b",
     "doubling-centered-x-partial-sums":
         "b0f3afeb970ae39dd1d6c46e3dccee32c1ef6014f002045c399a66cbfb876902",
+    "doubling-centered-x-partial-sums-n129":
+        "d7a899a4a080d99858cb639180520453dfc8e3563e7da5a2542e5f0a889e3725",
+    "doubling-centered-x-partial-sums-n520":
+        "ad44fb3ab8f8e4b5942b5f18ae9346cf38d600672efba035f4dee6efa9af503d",
     "doubling-centered-x-sample-path":
         "7277a46a31d9aecac069838c0f1ff99ae8e76bacef0094b295fc72475e16cf0a",
     "doubling-centered-x-theta":
@@ -158,16 +178,24 @@ PINNED = {
         "8478f61c256c74ff55ee19cdefd1ac01e744208ba8adf1f14d5880bc36a62ad0",
     "doubling-cos2pi-autocov-exact-k18":
         "085486c423adb22f4cec04f5da7aaa675e0ed41192f24301f74cb56dc19cec4b",
+    "doubling-cos2pi-m12-autocov-exact-k18":
+        "5e6db944c8a77d7d3831f6191e0468e54ffeb445e42fbcf876ac46a9847c42b9",
     "doubling-cos2pi-m4-autocov-mc":
         "6360dbd40f6d3cc46f1dc61a5543f179b6b5c262782db3930d60c91d41409708",
     "doubling-cos2pi-m4-partial-sums":
         "9c13090ed1e8bb8e34fa8818215eb7975f647b3256f7167772091f41ceedc8e3",
+    "doubling-cos2pi-m4-partial-sums-n129":
+        "a77062450625c7a17eed66b42989725609058fab83f1361e8df72a82b47c1e38",
+    "doubling-cos2pi-m4-partial-sums-n520":
+        "059f95d0a18ef0569d0f2c7fb159680c028b54d6b5e129a05bb0cd53fac5dc36",
     "doubling-cos2pi-m4-theta":
         "4b1f46959e0e27a73b6b8c1c04218ba65314786bf19bcf35fdbcd71fd928497a",
-    "doubling-cos2pi-m12-autocov-exact-k18":
-        "5e6db944c8a77d7d3831f6191e0468e54ffeb445e42fbcf876ac46a9847c42b9",
     "doubling-cos2pi-partial-sums":
         "82a878095f04585504b38f62b5c9593a510b5ba6162773469609705c41735a53",
+    "doubling-cos2pi-partial-sums-n129":
+        "785b389f674964c9db312261573d75ddb16ba7192d3d2c1887769347dfc92f06",
+    "doubling-cos2pi-partial-sums-n520":
+        "2bfcde4f5efd5879c2ffc5835cfeb78dc207c6300068235d6e5c37fbb220c1f1",
     "doubling-cos2pi-partial-sums-wide":
         "ea9fa85b49a095da4282c54efffe584cf3d84f93d86a8ab843fa83b96afa6036",
     "doubling-cos2pi-sample-path":
@@ -184,10 +212,18 @@ PINNED = {
         "ba57a5e55263b50eecd67ea05b8645e719921b852ba12b7a28c5841d4f88f074",
     "doubling-indicator-half-m4-partial-sums":
         "309a2ecde63a65859421ba560843b88134f60f25b0a1b1c53d3b15ccbe38f25d",
+    "doubling-indicator-half-m4-partial-sums-n129":
+        "26c142970f191d1f2a88c0ce0ab99533a04406e69c2e83b6b57053ea1786b66c",
+    "doubling-indicator-half-m4-partial-sums-n520":
+        "4fe78a00e9af8044f73ae1e08f5d3625fa783198ea3bbd2be9ab7fe44d7196ca",
     "doubling-indicator-half-m4-theta":
         "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
     "doubling-indicator-half-partial-sums":
         "309a2ecde63a65859421ba560843b88134f60f25b0a1b1c53d3b15ccbe38f25d",
+    "doubling-indicator-half-partial-sums-n129":
+        "26c142970f191d1f2a88c0ce0ab99533a04406e69c2e83b6b57053ea1786b66c",
+    "doubling-indicator-half-partial-sums-n520":
+        "4fe78a00e9af8044f73ae1e08f5d3625fa783198ea3bbd2be9ab7fe44d7196ca",
     "doubling-indicator-half-sample-path":
         "07f65c8dadcf1134722d95befe1ad8beb09cc08a9a60de72b68811c67a579504",
     "doubling-indicator-half-theta":

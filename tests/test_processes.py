@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,52 @@ def test_partial_sums_match_paths():
     s = partial_sums(m, 9, np.arange(6), 40)
     for r in range(6):
         assert s[r] == pytest.approx(sample_path(m, 9, r, 40).sum(), rel=1e-10)
+
+
+# row lengths on each side of numpy's 8-value unroll, its 128-value leaf
+# and its pairwise splits
+ROW_SUM_NS = (1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 137, 255, 256,
+              257, 512, 513, 1087)
+
+
+@pytest.mark.parametrize("n", ROW_SUM_NS)
+def test_row_sums_match_numpy_row_sum(n):
+    rng = np.random.default_rng(n)
+    # heavy tails over 16 decades: any other addition order shows
+    m = rng.standard_cauchy((37, n)) * 10.0 ** rng.integers(-8, 9, (37, n))
+    before = m.copy()
+    got = processes._row_sums(iter(m.T), n)
+    assert got.tobytes() == m.sum(axis=1).tobytes()
+    assert np.array_equal(m, before)
+
+
+@pytest.mark.parametrize("n", [5, 300])
+def test_row_sums_of_negative_zeros_are_positive_zero(n):
+    m = np.full((3, n), -0.0)
+    got = processes._row_sums(iter(m.T), n)
+    assert got.tobytes() == m.sum(axis=1).tobytes() == np.zeros(3).tobytes()
+
+
+@pytest.mark.parametrize("n", [129, 520])
+@pytest.mark.parametrize("observable", ["cos2pi", "centered-x",
+                                        "indicator-half"])
+def test_doubling_partial_sums_equal_path_row_sums(observable, n):
+    reps = np.arange(5, 69)
+    model = DoublingModel(observable)
+    for m in (model, m_project(model, 4)):
+        sums = partial_sums(m, 7, reps, n)
+        assert sums.tobytes() == m.paths(7, reps, n).sum(axis=1).tobytes()
+
+
+def test_doubling_partial_sums_build_no_path_matrix():
+    tracemalloc.start()
+    try:
+        partial_sums(DoublingModel("cos2pi"), 0, np.arange(4096), 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a (reps, n) path matrix alone would take 32 MB
+    assert peak < 8 * 2**20
 
 
 def test_doubling_lag1_autocovariance_vanishes():
@@ -293,8 +340,8 @@ def hash_calls(monkeypatch):
     step loops in processes make."""
     calls = []
 
-    def counted(seed, replication, series, times, channel=0):
-        words = raw_words(seed, replication, series, times, channel)
+    def counted(seed, replication, series, times, channel=0, **kwargs):
+        words = raw_words(seed, replication, series, times, channel, **kwargs)
         calls.append((len(replication), words.size, channel))
         return words
     monkeypatch.setattr(processes, "raw_words", counted)
