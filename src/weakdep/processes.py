@@ -507,9 +507,10 @@ def _pack_bits(values: np.ndarray, nbits: int) -> np.ndarray:
     return (bits << shifts).sum(axis=-1, dtype=np.uint64)
 
 
-# numpy's pairwise summation: a row is halved until a leaf holds at most
-# _PW_LEAF values, and a leaf of 8 or more is summed in 8 interleaved
-# accumulators
+# numpy's pairwise summation: a row is halved, the first half rounded down
+# to a multiple of 8, until a leaf holds at most _PW_LEAF values; a leaf of
+# 8 or more is summed in 8 interleaved accumulators and a shorter one from
+# 0.0
 _PW_LEAF = 128
 
 
