@@ -178,8 +178,6 @@ PINNED = {
         "8478f61c256c74ff55ee19cdefd1ac01e744208ba8adf1f14d5880bc36a62ad0",
     "doubling-cos2pi-autocov-exact-k18":
         "085486c423adb22f4cec04f5da7aaa675e0ed41192f24301f74cb56dc19cec4b",
-    "doubling-cos2pi-m12-autocov-exact-k18":
-        "5e6db944c8a77d7d3831f6191e0468e54ffeb445e42fbcf876ac46a9847c42b9",
     "doubling-cos2pi-m4-autocov-mc":
         "6360dbd40f6d3cc46f1dc61a5543f179b6b5c262782db3930d60c91d41409708",
     "doubling-cos2pi-m4-partial-sums":
@@ -190,6 +188,8 @@ PINNED = {
         "059f95d0a18ef0569d0f2c7fb159680c028b54d6b5e129a05bb0cd53fac5dc36",
     "doubling-cos2pi-m4-theta":
         "4b1f46959e0e27a73b6b8c1c04218ba65314786bf19bcf35fdbcd71fd928497a",
+    "doubling-cos2pi-m12-autocov-exact-k18":
+        "5e6db944c8a77d7d3831f6191e0468e54ffeb445e42fbcf876ac46a9847c42b9",
     "doubling-cos2pi-partial-sums":
         "82a878095f04585504b38f62b5c9593a510b5ba6162773469609705c41735a53",
     "doubling-cos2pi-partial-sums-n129":
