@@ -3,9 +3,11 @@
 ``weakdep run config.json`` executes one experiment described by a JSON
 document and persists CSV/JSON results, plot-data files and a run
 manifest.  Identical (config, seed) runs reproduce every output file
-bit-exactly, independent of ``threads``.  The BLAS thread count is the
-one exception: linear-model Monte Carlo sums reduce with a BLAS
-matrix-vector product whose bits depend on it (README, Determinism).
+bit-exactly, independent of ``threads``.  Linear-model Monte Carlo sums
+reduce with a BLAS gemv over blocks aligned to 8 rows, whose bits equal
+the unblocked single-thread product; tests show them, the ``theta_mc``
+window products and the Hoelder centering independent of the BLAS thread
+count (README, Determinism).
 Exit codes: 0 success,
 1 runtime failure, 2 config parse error, 3 precondition violation,
 4 degenerate variance.

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -365,11 +366,30 @@ class LinearModel(_LinearFilter):
         return y
 
     def partial_sums(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
-        # S_n = sum_t w_t eps_t; innovations older than 2 - L weigh 0
+        """S_n = sum_t w_t eps_t; innovations older than 2 - L weigh 0.
+
+        Each chunk is hashed and reduced one block of about ``KEY_BLOCK``
+        keys at a time, so its law matrix is never built.  The gemv runs
+        on blocks whose row offsets are multiples of 8 and never on a
+        lone tail row, so on one BLAS thread every sum has the bits of
+        the whole chunk's product, and on any thread count the same
+        bits."""
         times = np.arange(2 - self.scheme.length, n + 1)
         w = self.scheme.sum_weights(1, n, times)
-        return _by_chunks(reps, len(times), lambda chunk: law_values(
-            self.law, seed, chunk[:, None], SERIES_BASE, times) @ w)
+        height = 8 * max(1, KEY_BLOCK // (8 * len(times)))
+
+        def chunk_sums(chunk):
+            out = np.empty(len(chunk))
+            starts = list(range(0, len(chunk), height))
+            # numpy takes a 1-row product through dot, not gemv
+            if len(starts) > 1 and len(chunk) - starts[-1] == 1:
+                starts.pop()
+            for a, b in zip(starts, starts[1:] + [len(chunk)]):
+                block = law_values(self.law, seed, chunk[a:b, None],
+                                   SERIES_BASE, times)
+                np.matmul(block, w, out=out[a:b])
+            return out
+        return _by_chunks(reps, len(times), chunk_sums)
 
     def truncation_error(self, J: int) -> float:
         return float(np.sqrt(self.scheme.tail_sumsq(J)))
@@ -566,13 +586,11 @@ class _DoublingRegister(_WindowModel):
         The register invariant w < 2^nbits holds throughout, so shifting
         the newest bit in needs no mask."""
         nbits = self.nbits
-        # seed the register with the pre-sample bits
-        init_times = 1 - nbits + np.arange(nbits)
-        words = raw_words(seed, reps[:, None], SERIES_BASE, init_times,
-                          sign_only=True)
-        words >>= np.uint64(63)
-        w = _pack_bits(words[:, ::-1], nbits)
-        for ks in _step_blocks(len(reps), n):
+        w = np.zeros(len(reps), dtype=np.uint64)
+        # the pre-sample times 1 - nbits..0 seed the register in one hash
+        # call and yield nothing
+        presample = 1 - nbits + np.arange(nbits)
+        for ks in chain([presample], _step_blocks(len(reps), n)):
             bits = raw_words(seed, reps, SERIES_BASE, ks[:, None],
                              sign_only=True)
             # each word's sign bit, moved to the newest register position
@@ -581,10 +599,11 @@ class _DoublingRegister(_WindowModel):
             else:
                 bits >>= np.uint64(63)
                 bits <<= np.uint64(nbits - 1)
-            for bit in bits:
+            for k, bit in zip(ks, bits):
                 w >>= np.uint64(1)
                 w |= bit
-                yield self.register_value(w)
+                if k > 0:
+                    yield self.register_value(w)
 
     def paths(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
         out = np.empty((len(reps), n))

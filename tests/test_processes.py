@@ -397,10 +397,6 @@ print(hashlib.sha256(np.ascontiguousarray(sums).tobytes()).hexdigest())
 """
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="LinearModel.partial_sums reduces each chunk with "
-                   "a BLAS gemv, whose bits depend on the OpenBLAS thread "
-                   "count")
 def test_linear_sums_independent_of_blas_threads():
     src = os.path.dirname(os.path.dirname(weakdep.__file__))
     digests = []
@@ -412,3 +408,108 @@ def test_linear_sums_independent_of_blas_threads():
                               capture_output=True, text=True, check=True)
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+def _run_at_blas_threads(script: str, threads: str) -> str:
+    """The stdout of ``script`` in a fresh interpreter with OpenBLAS on
+    ``threads`` threads."""
+    src = os.path.dirname(os.path.dirname(weakdep.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+# a DifferenceScheme(power, 0.25, 4096) chunk at n = 128 holds 993 rows,
+# 8 * 124 + 1, so its last block takes the lone row
+_BLAS_RAGGED_SUMS = """
+import hashlib
+import numpy as np
+from weakdep.innovations import get_law
+from weakdep.processes import (DifferenceScheme, GeometricScheme,
+                               LinearModel, partial_sums)
+for scheme, n in ((DifferenceScheme("power", 0.25, 4096), 128),
+                  (GeometricScheme(0.5, 128), 1024)):
+    model = LinearModel(scheme, get_law("rademacher"))
+    sums = partial_sums(model, 7, np.arange(20000), n)
+    print(hashlib.sha256(sums.tobytes()).hexdigest())
+"""
+
+
+def test_linear_sums_on_ragged_chunks_independent_of_blas_threads():
+    one, two = (_run_at_blas_threads(_BLAS_RAGGED_SUMS, t) for t in "12")
+    assert one.count("\n") == 1
+    assert one == two
+
+
+# partial_sums against the whole-chunk gemv on one BLAS thread: each row
+# count is one chunk, blocks of `height` rows with a 1..8-row tail, or 1
+_BLOCKED_SUMS = """
+import numpy as np
+from weakdep.innovations import KEY_BLOCK, SERIES_BASE, get_law, law_values
+from weakdep.processes import (DifferenceScheme, LinearModel,
+                               identity_scheme, partial_sums)
+differ = []
+for law in ("rademacher", "standard-gaussian"):
+    for L in (1, 3, 16, 512, 4096):
+        scheme = (identity_scheme() if L == 1
+                  else DifferenceScheme("power", 0.25, L))
+        model = LinearModel(scheme, get_law(law))
+        for n in (1, 64, 127, 128, 512):
+            times = np.arange(2 - L, n + 1)
+            w = scheme.sum_weights(1, n, times)
+            height = 8 * max(1, KEY_BLOCK // (8 * len(times)))
+            for rows in [1] + [2 * height + t for t in range(1, 9)]:
+                reps = 5 + np.arange(rows)
+                whole = law_values(law, 3, reps[:, None], SERIES_BASE,
+                                   times) @ w
+                sums = partial_sums(model, 3, reps, n)
+                if sums.tobytes() != whole.tobytes():
+                    differ.append((law, L, n, rows))
+print(differ)
+"""
+
+
+def test_linear_sums_equal_whole_chunk_gemv_bits():
+    assert _run_at_blas_threads(_BLOCKED_SUMS, "1") == "[]"
+
+
+def test_linear_sums_build_no_law_matrix():
+    model = LinearModel(DifferenceScheme("power", 0.25, 4096),
+                        get_law("rademacher"))
+    tracemalloc.start()
+    try:
+        sums = partial_sums(model, 0, np.arange(2000), 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 910-row chunk's law matrix alone would take 32 MB
+    assert peak - sums.nbytes < 2 * 2**20
+
+
+# the other BLAS products of linear filters: the truncated windows of
+# theta_mc (evaluate_values) and the Hoelder centering pre-pass
+_BLAS_OTHER_PRODUCTS = """
+import numpy as np
+from weakdep.dependence import theta_mc
+from weakdep.innovations import get_law
+from weakdep.processes import (DifferenceScheme, GeometricScheme,
+                               HolderOfLinearModel, LinearModel)
+model = LinearModel(DifferenceScheme("power", 0.25, 4096),
+                    get_law("rademacher"))
+for l in (1, 8, 32, 100):
+    print(theta_mc(model, l, 2.0, R=20000))
+gauss = get_law("standard-gaussian")
+print(HolderOfLinearModel(GeometricScheme(0.5, 64), gauss,
+                          observable="abs-center", beta=0.5).center.hex())
+print(HolderOfLinearModel(DifferenceScheme("power", 0.25, 512), gauss,
+                          observable="cube-clip").center.hex())
+"""
+
+
+def test_linear_filter_products_independent_of_blas_threads():
+    one, two = (_run_at_blas_threads(_BLAS_OTHER_PRODUCTS, t) for t in "12")
+    assert one.count("\n") == 5
+    assert one == two
