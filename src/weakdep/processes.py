@@ -372,8 +372,8 @@ class LinearModel(_LinearFilter):
         keys at a time, so its law matrix is never built.  The gemv runs
         on blocks whose row offsets are multiples of 8 and never on a
         lone tail row, so on one BLAS thread every sum has the bits of
-        the whole chunk's product, and on any thread count the same
-        bits."""
+        the whole chunk's product; tests show the same bits on two BLAS
+        threads."""
         times = np.arange(2 - self.scheme.length, n + 1)
         w = self.scheme.sum_weights(1, n, times)
         height = 8 * max(1, KEY_BLOCK // (8 * len(times)))
