@@ -30,6 +30,7 @@ from .errors import (
     ModelMismatchError,
     PreconditionError,
     check_replications,
+    choose_route,
 )
 from .innovations import SERIES_AUX, SERIES_BASE, law_values
 from .processes import m_project
@@ -164,16 +165,10 @@ def block_mode(model, m: int, mode: str = "auto") -> str:
     m-projection (what 'auto' picks otherwise).  Raises ModelMismatchError
     when the model does not support the route."""
     linear = _autocov_method(model) == "exact-linear"
-    if mode == "auto":
-        mode = "exact" if linear else "nested-mc"
-    if mode == "exact":
-        if not linear:
-            raise ModelMismatchError(
-                "exact block mode is available for linear models only")
-    elif mode == "nested-mc":
+    mode = choose_route(mode, "exact" if linear else None,
+                        ("exact", "nested-mc"))
+    if mode == "nested-mc":
         _nested_projection(model, m)
-    else:
-        raise PreconditionError("mode must be exact, nested-mc or auto")
     return mode
 
 

@@ -4,9 +4,9 @@
 document and persists CSV/JSON results, plot-data files and a run
 manifest.  Identical (config, seed) runs reproduce every output file
 bit-exactly, independent of ``threads``.  Linear-model Monte Carlo sums
-reduce with a BLAS gemv over blocks aligned to 8 rows, whose bits equal
-the unblocked single-thread product; tests show them, the ``theta_mc``
-window products and the Hoelder centering independent of the BLAS thread
+and the Hoelder centering reduce with a BLAS gemv over blocks aligned to
+8 rows, whose bits equal the unblocked single-thread product; tests show
+them and the ``theta_mc`` window products independent of the BLAS thread
 count (README, Determinism).
 Exit codes: 0 success,
 1 runtime failure, 2 config parse error, 3 precondition violation,
@@ -54,6 +54,7 @@ from .errors import (
     PreconditionError,
     WeakdepError,
     check_replications,
+    choose_route,
 )
 from .innovations import get_law
 from .processes import (
@@ -524,8 +525,10 @@ def _task_assumptions(cfg, model):
     grid = [int(l) for l in
             p.get("l_grid", [1, 2, 4, 8, 16, 32, 64, 128])]
     check_assumption_grid(grid)
-    if p.get("mode") == "closed-form" \
-            and _autocov_method(model) == "exact-linear":
+    linear = _autocov_method(model) == "exact-linear"
+    if choose_route(p.get("mode", "monte-carlo"),
+                    "closed-form" if linear else None,
+                    ("closed-form", "monte-carlo")) == "closed-form":
         check_closed_form(spec.p)
         profile = lambda: profile_closed_form(model.scheme, grid, spec.p)
     else:

@@ -67,10 +67,6 @@ class DependenceProfile:
             if self.mode == "closed-form" and (e.se_prime or e.se_star):
                 raise PreconditionError("closed-form entries have stderr 0")
 
-    @property
-    def lags(self) -> np.ndarray:
-        return np.array([e.l for e in self.entries])
-
 
 def check_theta(model, l: int, p: float, R: int) -> int:
     """Check a theta_mc estimate before computing it: a model with a

@@ -1,4 +1,5 @@
-"""Shared exception types and the Monte Carlo replication floor."""
+"""Shared exception types, the Monte Carlo replication floor and the route
+selector."""
 
 __all__ = [
     "WeakdepError",
@@ -9,6 +10,7 @@ __all__ = [
     "InternalConsistencyError",
     "ConfigError",
     "check_replications",
+    "choose_route",
 ]
 
 
@@ -45,3 +47,20 @@ def check_replications(R: int, what: str) -> None:
     """Every Monte Carlo estimate (``what``) needs R >= 1000 replications."""
     if R < 1000:
         raise PreconditionError(f"{what} needs R >= 1000")
+
+
+def choose_route(method: str, exact: str | None, routes) -> str:
+    """The route a computation takes, the one place that picks one.
+
+    ``routes`` names the computation's routes with Monte Carlo last, and
+    ``exact`` is the model's exact route or None: 'auto' takes ``exact``,
+    else Monte Carlo.  A name outside ``routes`` is a PreconditionError, an
+    exact route the model lacks a ModelMismatchError."""
+    if method == "auto":
+        return exact or routes[-1]
+    if method not in routes:
+        raise PreconditionError(
+            f"route must be one of auto, {', '.join(routes)}; got {method!r}")
+    if method not in (exact, routes[-1]):
+        raise ModelMismatchError(f"{method} is not a route of this model")
+    return method

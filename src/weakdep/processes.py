@@ -305,6 +305,27 @@ class DifferenceScheme(CoefficientScheme):
         return abs(a_last - a_prev) * a_prev
 
 
+def _weighted_sums(law, seed, reps: np.ndarray, series, times: np.ndarray,
+                   w: np.ndarray, channel=0) -> np.ndarray:
+    """``law_values(law, seed, reps[:, None], series, times) @ w`` without
+    the law matrix: its rows are hashed and reduced one block of about
+    ``KEY_BLOCK`` keys at a time.  The gemv runs on
+    blocks whose row offsets are multiples of 8 and never on a lone tail
+    row, so on one BLAS thread every sum has the bits of the whole
+    matrix's product; tests show the same bits on two BLAS threads."""
+    height = 8 * max(1, KEY_BLOCK // (8 * len(times)))
+    out = np.empty(len(reps))
+    starts = list(range(0, len(reps), height))
+    # numpy takes a 1-row product through dot, not gemv
+    if len(starts) > 1 and len(reps) - starts[-1] == 1:
+        starts.pop()
+    for a, b in zip(starts, starts[1:] + [len(reps)]):
+        block = law_values(law, seed, reps[a:b, None], series, times,
+                           channel=channel)
+        np.matmul(block, w, out=out[a:b])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
@@ -366,30 +387,11 @@ class LinearModel(_LinearFilter):
         return y
 
     def partial_sums(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
-        """S_n = sum_t w_t eps_t; innovations older than 2 - L weigh 0.
-
-        Each chunk is hashed and reduced one block of about ``KEY_BLOCK``
-        keys at a time, so its law matrix is never built.  The gemv runs
-        on blocks whose row offsets are multiples of 8 and never on a
-        lone tail row, so on one BLAS thread every sum has the bits of
-        the whole chunk's product; tests show the same bits on two BLAS
-        threads."""
+        """S_n = sum_t w_t eps_t; innovations older than 2 - L weigh 0."""
         times = np.arange(2 - self.scheme.length, n + 1)
         w = self.scheme.sum_weights(1, n, times)
-        height = 8 * max(1, KEY_BLOCK // (8 * len(times)))
-
-        def chunk_sums(chunk):
-            out = np.empty(len(chunk))
-            starts = list(range(0, len(chunk), height))
-            # numpy takes a 1-row product through dot, not gemv
-            if len(starts) > 1 and len(chunk) - starts[-1] == 1:
-                starts.pop()
-            for a, b in zip(starts, starts[1:] + [len(chunk)]):
-                block = law_values(self.law, seed, chunk[a:b, None],
-                                   SERIES_BASE, times)
-                np.matmul(block, w, out=out[a:b])
-            return out
-        return _by_chunks(reps, len(times), chunk_sums)
+        return _by_chunks(reps, len(times), lambda chunk: _weighted_sums(
+            self.law, seed, chunk, SERIES_BASE, times, w))
 
     def truncation_error(self, J: int) -> float:
         return float(np.sqrt(self.scheme.tail_sumsq(J)))
@@ -444,11 +446,9 @@ class HolderOfLinearModel(_LinearFilter):
             var = float(np.dot(self.scheme.coefficients,
                                self.scheme.coefficients))
             return float(self.c * np.cos(1.0) * np.exp(-var / 2.0))
-        reps = np.arange(_CENTER_REPS)[:, None]
-        times = -np.arange(self.scheme.length)
-        eps = law_values(self.law, _CENTER_SEED, reps, SERIES_AUX, times,
-                         channel=_CH_CENTER)
-        y = eps @ self.scheme.coefficients
+        y = _weighted_sums(self.law, _CENTER_SEED, np.arange(_CENTER_REPS),
+                           SERIES_AUX, -np.arange(self.scheme.length),
+                           self.scheme.coefficients, channel=_CH_CENTER)
         f = _HOLDER_OBSERVABLES[self.observable]
         return float(np.mean(f(self.c, self.beta, y)))
 
@@ -622,18 +622,12 @@ class DoublingModel(_DoublingRegister):
     T^k U = sum_{j>=0} 2^{-j-1} zeta_{k-j}, truncated at 64 bits."""
 
     observable: str = "cos2pi"
-    depth: int = 64
 
     exact_autocovariance = "exact-doubling"
+    nbits = 64
 
     def __post_init__(self):
         _doubling_observable(self.observable)
-        if self.depth != 64:
-            raise PreconditionError("doubling register depth is fixed at 64")
-
-    @property
-    def nbits(self) -> int:
-        return self.depth
 
     def register_value(self, w):
         return _DOUBLING_OBSERVABLES[self.observable].f(w)
@@ -643,7 +637,7 @@ class DoublingModel(_DoublingRegister):
         return float(_DOUBLING_OBSERVABLES[self.observable].modulus(2.0 ** -J))
 
     def m_project(self, m: int) -> _DoublingRegister:
-        if m >= self.depth:
+        if m >= self.nbits:
             return self
         return DoublingProjectedModel(self.observable, m)
 

@@ -14,7 +14,7 @@ from .bedistance import (
     check_estimate,
     exact_delta_gaussian_linear,
 )
-from .errors import ModelMismatchError, PreconditionError
+from .errors import PreconditionError, choose_route
 from .variance import _autocov_method
 
 __all__ = ["RateFit", "rate_route", "run_rate_experiment", "fit_rate",
@@ -48,18 +48,9 @@ def rate_route(model, n_grid, R: int, normalization: str,
             "n-grid must be dyadic with >= 4 points from n >= 1")
     closed = (_autocov_method(model) == "exact-linear"
               and model.law.kind == "standard-gaussian")
-    if method == "auto":
-        method = "closed-form" if closed else "monte-carlo"
-    if method == "closed-form":
-        if not closed:
-            raise ModelMismatchError(
-                "closed form needs a linear model with standard-gaussian law")
-        check_estimate(normalization)
-    elif method == "monte-carlo":
-        check_estimate(normalization, R)
-    else:
-        raise PreconditionError(
-            f"method must be auto, closed-form or monte-carlo, got {method!r}")
+    method = choose_route(method, "closed-form" if closed else None,
+                          ("closed-form", "monte-carlo"))
+    check_estimate(normalization, R if method == "monte-carlo" else None)
     return method
 
 

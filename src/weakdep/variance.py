@@ -18,8 +18,8 @@ from scipy.special import zeta as hurwitz_zeta
 from .errors import (
     DegenerateVarianceError,
     InternalConsistencyError,
-    ModelMismatchError,
     PreconditionError,
+    choose_route,
 )
 from .processes import CoefficientScheme, partial_sums
 
@@ -58,10 +58,6 @@ class AutocovarianceTable:
             raise PreconditionError("table needs lags 0..K with K >= 1")
         if g[0] <= 0:
             raise PreconditionError("gamma(0) must be positive")
-
-    @property
-    def K(self) -> int:
-        return len(self.gamma) - 1
 
 
 def _exact_linear_gamma(model, K: int) -> np.ndarray:
@@ -150,20 +146,10 @@ _EXACT_GAMMA = {"exact-linear": _exact_linear_gamma,
 
 
 def _autocov_method(model, method: str = "auto") -> str:
-    """The autocovariance method for ``model``, the one place that picks a
-    route: 'auto' takes the model's exact oracle if it has one, else
-    'monte-carlo'.  Raises ModelMismatchError for an exact method that is
-    not the model's own."""
-    exact = getattr(model, "exact_autocovariance", None)
-    if method == "auto":
-        return exact or "monte-carlo"
-    if method in _EXACT_GAMMA:
-        if method != exact:
-            raise ModelMismatchError(
-                f"{method} is not an exact oracle of {type(model).__name__}")
-    elif method != "monte-carlo":
-        raise PreconditionError(f"unknown method {method!r}")
-    return method
+    """The autocovariance route for ``model`` (``choose_route`` over the
+    exact oracles and 'monte-carlo')."""
+    return choose_route(method, getattr(model, "exact_autocovariance", None),
+                        (*_EXACT_GAMMA, "monte-carlo"))
 
 
 def autocovariance(model, K: int, method: str = "auto", R: int = 4096,
@@ -186,17 +172,13 @@ def autocovariance(model, K: int, method: str = "auto", R: int = 4096,
 
 @dataclass(frozen=True)
 class LongRunVariance:
-    """ss^2 with its construction: series part, fitted tail correction,
-    and (for linear models) the exact (sum alpha_j)^2 cross-check."""
+    """ss^2 with its construction: series part and fitted tail
+    correction; for linear models the value is the exact (sum alpha_j)^2."""
 
     value: float
     series: float
     tail: float
-    exact_linear: float | None = None
     note: str = ""
-
-    def __float__(self):
-        return self.value
 
 
 def _fit_tail(gamma: np.ndarray) -> tuple[float, str]:
@@ -237,7 +219,7 @@ def longrun_variance(table: AutocovarianceTable) -> LongRunVariance:
             f"long-run variance {value:.3e} <= {DEGENERACY_THRESHOLD:.0e}; "
             "use the E S_n^2 normalization instead")
     return LongRunVariance(value=float(value), series=series, tail=tail,
-                           exact_linear=exact, note=note)
+                           note=note)
 
 
 def exact_sum_variance_linear(scheme: CoefficientScheme, n: int) -> float:

@@ -287,6 +287,7 @@ RADEMACHER = {**BASE["model"], "law": "rademacher"}
 CENTERED_X = {"variant": "doubling", "observable": "centered-x"}
 COS2PI = {"variant": "doubling", "observable": "cos2pi"}
 RATE_GRID = [4, 8, 16, 32]
+ASSUMPTIONS_P2 = {"l_grid": list(range(1, 9)), "p": 2, "b": 0.6, "R": 1000}
 
 
 @pytest.mark.parametrize("task, model, params, expected", [
@@ -341,6 +342,12 @@ RATE_GRID = [4, 8, 16, 32]
     ("variance", COS2PI, {"n": 64}, EXIT_PRECONDITION),
     ("variance", COS2PI, {"K": 25, "n": 16, "m": 2,
                           "method": "exact-doubling"}, EXIT_PRECONDITION),
+    # the doubling model has no closed-form profile, and a misspelled mode
+    # names no route
+    ("assumptions", COS2PI, {**ASSUMPTIONS_P2, "mode": "closed-form"},
+     EXIT_PRECONDITION),
+    ("assumptions", BASE["model"], {**ASSUMPTIONS_P2, "mode": "closedform"},
+     EXIT_PRECONDITION),
 ], ids=["unknown-method", "unknown-normalization", "monte-carlo-R",
         "bedist-R", "closed-form-R-0", "depcoef-R", "assumptions-R",
         "blocks-degeneracy-R", "bedist-n-0", "variance-K-0", "variance-m-0",
@@ -350,7 +357,8 @@ RATE_GRID = [4, 8, 16, 32]
         "rate-grid-negative", "counterexample-grid-0", "model-no-scheme",
         "scheme-alpha-not-a-number", "variance-K-not-a-number",
         "closed-form-assumptions-p-3", "closed-form-assumptions-p-2",
-        "doubling-variance-default-K", "doubling-variance-K-25"])
+        "doubling-variance-default-K", "doubling-variance-K-25",
+        "closed-form-assumptions-doubling", "assumptions-mode-typo"])
 def test_validate_and_run_agree_on_rate_params(tmp_path, task, model, params,
                                                expected):
     path = _write(tmp_path, {**BASE, "model": model, "task": task,

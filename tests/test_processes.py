@@ -468,6 +468,24 @@ for law in ("rademacher", "standard-gaussian"):
                 sums = partial_sums(model, 3, reps, n)
                 if sums.tobytes() != whole.tobytes():
                     differ.append((law, L, n, rows))
+# the Hoelder centering pre-pass: one 2^17-row chunk, in whole blocks at
+# L = 64 and with a 176-row tail at L = 100
+from weakdep.innovations import SERIES_AUX
+from weakdep.processes import (_CENTER_REPS, _CENTER_SEED, _CH_CENTER,
+                               _HOLDER_OBSERVABLES, GeometricScheme,
+                               HolderOfLinearModel, PowerLawScheme)
+for scheme, law, obs in ((GeometricScheme(0.5, 64), "rademacher",
+                          "abs-center"),
+                         (PowerLawScheme(1.3, 100), "standard-gaussian",
+                          "cube-clip")):
+    model = HolderOfLinearModel(scheme, get_law(law), observable=obs,
+                                beta=0.5)
+    y = law_values(law, _CENTER_SEED, np.arange(_CENTER_REPS)[:, None],
+                   SERIES_AUX, -np.arange(scheme.length),
+                   channel=_CH_CENTER) @ scheme.coefficients
+    whole = float(np.mean(_HOLDER_OBSERVABLES[obs](model.c, model.beta, y)))
+    if model.center.hex() != whole.hex():
+        differ.append((law, obs, scheme.length))
 print(differ)
 """
 
@@ -487,6 +505,20 @@ def test_linear_sums_build_no_law_matrix():
         tracemalloc.stop()
     # a 910-row chunk's law matrix alone would take 32 MB
     assert peak - sums.nbytes < 2 * 2**20
+
+
+def test_holder_centering_builds_no_law_matrix():
+    model = HolderOfLinearModel(GeometricScheme(0.5, 64),
+                                get_law("rademacher"),
+                                observable="abs-center", beta=0.5)
+    tracemalloc.start()
+    try:
+        model.center
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (2^17, 64) law matrix alone would take 64 MB
+    assert peak < 4 * 2**20
 
 
 # the other BLAS products of linear filters: the truncated windows of

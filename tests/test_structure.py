@@ -8,7 +8,8 @@ model from a config.  ``dependence.theta_mc`` is the one coupling
 construction: the scalar window reference lives in the tests.  The
 Delta_n grid runner in ``rates`` is the one place that maps a grid, with or
 without threads, and the command line reaches it and its checks through
-public names only.  Starting the command line loads ``scipy.special``
+public names only.  ``errors.choose_route`` is the one route selector: no
+other module compares a value with ``"auto"``.  Starting the command line loads ``scipy.special``
 only; the heavier scipy subpackages load where they are called.
 """
 
@@ -148,3 +149,18 @@ print(sorted(set({heavy!r}) & set(sys.modules)))
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
+
+
+def _is_auto(node) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_is_auto, node.elts))
+    return isinstance(node, ast.Constant) and node.value == "auto"
+
+
+def test_only_the_route_selector_compares_with_auto():
+    sites = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Compare)
+             and any(map(_is_auto, [node.left, *node.comparators]))]
+    assert sites == []
