@@ -12,9 +12,12 @@ output holds, per workload and metric, the runs of both sides, their
 medians and quartiles, and the number of pairs in which the working tree
 did better. One traced run per side also records perfbench's exact work
 counts with that run's verdict; they agree only if both traced runs are
-correct and every count is present and equal. The exit status is 0 only
-if every run of the working tree is correct and every workload's counts
-agree.
+correct and every count is present and equal. The same run's per-layer
+metrics (the ``per_layer`` list of BENCHMARK.json, e.g.
+``innovations.hash_s`` and each layer's ``self_s``) are kept beside the
+counts, so a file shows which layer a change of ``run_s`` came from. The
+exit status is 0 only if every run of the working tree is correct and
+every workload's counts agree.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def summary(values: list) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
-def compare(workload, metrics, base_dir, seed, seconds) -> dict:
+def compare(workload, metrics, layers, base_dir, seed, seconds) -> dict:
     runs = {"base": [], "change": []}
     for i in range(PAIRS):
         # alternate which side goes first, so neither always runs warm
@@ -118,7 +121,8 @@ def compare(workload, metrics, base_dir, seed, seconds) -> dict:
         m = traced["metrics"]
         counts[side] = {
             "correct": traced["correct"], "problems": traced["problems"],
-            **{k: m.get(k, {}).get("value") for k in EXACT_COUNTS}}
+            **{k: m.get(k, {}).get("value") for k in EXACT_COUNTS},
+            "per_layer": {k: m.get(k, {}).get("value") for k in layers}}
     values = {side: [c[k] for k in EXACT_COUNTS]
               for side, c in counts.items()}
     out["exact_counts"] = {
@@ -153,7 +157,8 @@ def main() -> int:
         extract(args.base, base_dir)
         for workload in workloads:
             result["workloads"][workload] = compare(
-                workload, bench["end_to_end"], base_dir, args.seed,
+                workload, bench["end_to_end"],
+                [m["name"] for m in bench["per_layer"]], base_dir, args.seed,
                 bench["run_seconds"])
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -25,6 +25,15 @@ finalizer's first round is premixed on those two key parts, so a word
 costs one full-size xor and the four remaining finalizer steps.  Laws
 that read only the sign bit (Rademacher, raw bit) stop before the last
 xorshift, which leaves bit 63 as it is: their values are unchanged.
+
+The two premixed parts, ``key_prefix`` (the state column) and
+``time_row``, do not change from one block of a call to the next, so
+each call site derives them once and hands slices of them to every
+``raw_words`` call: ``law_values`` once per call, the blocked linear
+sums once per window of at most ``KEY_BLOCK // 8`` replications (with
+the time row once per call), and the doubling and GL step loops once per
+call and channel.  Every word still comes out of one ``raw_words`` call
+per block, with the bits of the plain call.
 """
 
 from __future__ import annotations
@@ -47,6 +56,8 @@ __all__ = [
     "LAWS",
     "get_law",
     "raw_words",
+    "key_prefix",
+    "time_row",
     "uniform01",
     "law_values",
 ]
@@ -99,8 +110,29 @@ def _stream_state(seed, replication, series, channel=0) -> np.ndarray:
         return _finalize(h ^ (sc * _C_SER + _GAMMA))
 
 
+def _premix(x):
+    """The finalizer's first xorshift, ``x ^= x >> 30``, in place on a
+    fresh uint64 array; returns ``x``."""
+    x ^= x >> _S30
+    return x
+
+
+def key_prefix(seed, replication, series, channel=0) -> np.ndarray:
+    """The premixed key prefix that ``raw_words`` joins with each time:
+    the (seed, replication, series, channel) state after the finalizer's
+    first xorshift.  Vectorized over ``replication`` and ``channel``."""
+    return _premix(_stream_state(seed, replication, series, channel))
+
+
+def time_row(times) -> np.ndarray:
+    """The premixed time part of ``raw_words``: ``times * GAMMA`` after
+    the finalizer's first xorshift."""
+    with np.errstate(over="ignore"):
+        return _premix(_as_u64(times) * _GAMMA)
+
+
 def raw_words(seed, replication, series, times, channel=0, out=None,
-              sign_only=False):
+              sign_only=False, prefix=None, premixed_times=None):
     """Raw 64-bit words for the given key(s).
 
     ``replication`` and ``times`` may be scalars or arrays; they broadcast
@@ -111,17 +143,21 @@ def raw_words(seed, replication, series, times, channel=0, out=None,
     A word is ``_finalize(state ^ time * GAMMA)``.  A logical shift
     distributes over xor, so the finalizer's first xorshift is applied to
     the two small key parts (the state column and the time row) before
-    the one full-size xor that joins them.  With ``sign_only`` the last
-    xorshift, ``z ^= z >> 31``, is skipped: it never changes bit 63, so
-    bit 63 of each returned word is final and bits 0-62 are not.
+    the one full-size xor that joins them.  A call site that hashes many
+    blocks of the same keys derives those parts once, with ``key_prefix``
+    and ``time_row``, and passes (slices of) them as ``prefix`` and
+    ``premixed_times``; each one given replaces the key parts it is
+    derived from, which are then not read, and the words keep their bits.
+    With ``sign_only`` the last xorshift, ``z ^= z >> 31``, is skipped: it
+    never changes bit 63, so bit 63 of each returned word is final and
+    bits 0-62 are not.
     """
-    state = _stream_state(seed, replication, series, channel)
+    if prefix is None:
+        prefix = _premix(_stream_state(seed, replication, series, channel))
     with np.errstate(over="ignore"):
-        t = _as_u64(times) * _GAMMA
-        # both parts are fresh, so round one may premix them in place
-        state ^= state >> _S30
-        t ^= t >> _S30
-        z = np.bitwise_xor(state, t, out=out)
+        if premixed_times is None:
+            premixed_times = _premix(_as_u64(times) * _GAMMA)
+        z = np.bitwise_xor(prefix, premixed_times, out=out)
         z *= _M1
         z ^= z >> _S27
         z *= _M2
@@ -241,13 +277,16 @@ def get_law(kind) -> InnovationLaw:
             f"unknown law {kind!r}; available: {sorted(LAWS)}") from None
 
 
-def law_values(law, seed, replication, series, times, channel=0) -> np.ndarray:
+def law_values(law, seed, replication, series, times, channel=0,
+               prefix=None, premixed_times=None) -> np.ndarray:
     """Innovation values for the given key(s); broadcasts like raw_words.
 
     A key block larger than ``KEY_BLOCK`` is taken in row slices along its
     first axis.  Each slice's words are hashed into the ``uint64`` view of
-    the returned array and transformed there in place.  A law that reads
-    only bit 63 gets sign-only words (see ``raw_words``)."""
+    the returned array and transformed there in place.  The premixed key
+    prefix and time row are derived once per call, unless given (see
+    ``raw_words``), and sliced like the keys.  A law that reads only bit
+    63 gets sign-only words."""
     row = _LAWS[get_law(law).kind]
     sample, sign_only = row.sample, row.sign_only
     keys = [np.asarray(k) for k in (seed, replication, series, times,
@@ -256,15 +295,21 @@ def law_values(law, seed, replication, series, times, channel=0) -> np.ndarray:
     out = np.empty(shape)
     bits = out.view(np.uint64)
     if math.prod(shape) <= KEY_BLOCK:
-        sample(raw_words(*keys, out=bits, sign_only=sign_only), out)
+        sample(raw_words(*keys, out=bits, sign_only=sign_only, prefix=prefix,
+                         premixed_times=premixed_times), out)
         return out
+    if prefix is None:
+        prefix = key_prefix(seed, replication, series, channel)
+    if premixed_times is None:
+        premixed_times = time_row(times)
     rows = max(1, KEY_BLOCK // math.prod(shape[1:]))
-    # only keys that vary along the first axis are sliced; the others
+    # only parts that vary along the first axis are sliced; the others
     # broadcast against every slice
+    parts = keys + [prefix, premixed_times]
     for i in range(0, shape[0], rows):
-        block = [k[i:i + rows] if k.ndim == len(shape) and len(k) > 1 else k
-                 for k in keys]
-        sample(raw_words(*block, out=bits[i:i + rows], sign_only=sign_only),
-               out[i:i + rows])
+        *block, p, t = [
+            k[i:i + rows] if k.ndim == len(shape) and len(k) > 1 else k
+            for k in parts]
+        sample(raw_words(*block, out=bits[i:i + rows], sign_only=sign_only,
+                         prefix=p, premixed_times=t), out[i:i + rows])
     return out
-

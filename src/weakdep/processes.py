@@ -54,8 +54,10 @@ from .innovations import (
     SERIES_BASE,
     InnovationLaw,
     get_law,
+    key_prefix,
     law_values,
     raw_words,
+    time_row,
 )
 
 __all__ = [
@@ -312,16 +314,29 @@ def _weighted_sums(law, seed, reps: np.ndarray, series, times: np.ndarray,
     ``KEY_BLOCK`` keys at a time.  The gemv runs on
     blocks whose row offsets are multiples of 8 and never on a lone tail
     row, so on one BLAS thread every sum has the bits of the whole
-    matrix's product; tests show the same bits on two BLAS threads."""
+    matrix's product; tests show the same bits on two BLAS threads.
+
+    The premixed time row is derived once, and the key prefix once per
+    window of whole blocks and at most ``KEY_BLOCK // 8`` replications
+    (a larger block is a window of its own), so its column stays small."""
     height = 8 * max(1, KEY_BLOCK // (8 * len(times)))
+    window = height * max(1, KEY_BLOCK // (8 * height))
     out = np.empty(len(reps))
     starts = list(range(0, len(reps), height))
     # numpy takes a 1-row product through dot, not gemv
     if len(starts) > 1 and len(reps) - starts[-1] == 1:
         starts.pop()
+    t = time_row(times)
+    lo = hi = 0
     for a, b in zip(starts, starts[1:] + [len(reps)]):
+        if b > hi:
+            lo, hi = a, min(a + window, len(reps))
+            if len(reps) - hi == 1:  # the folded tail row
+                hi += 1
+            prefix = key_prefix(seed, reps[lo:hi, None], series, channel)
         block = law_values(law, seed, reps[a:b, None], series, times,
-                           channel=channel)
+                           channel=channel, prefix=prefix[a - lo:b - lo],
+                           premixed_times=t)
         np.matmul(block, w, out=out[a:b])
     return out
 
@@ -588,11 +603,12 @@ class _DoublingRegister(_WindowModel):
         nbits = self.nbits
         w = np.zeros(len(reps), dtype=np.uint64)
         # the pre-sample times 1 - nbits..0 seed the register in one hash
-        # call and yield nothing
+        # call and yield nothing; every call shares one key prefix
         presample = 1 - nbits + np.arange(nbits)
+        prefix = key_prefix(seed, reps, SERIES_BASE)
         for ks in chain([presample], _step_blocks(len(reps), n)):
             bits = raw_words(seed, reps, SERIES_BASE, ks[:, None],
-                             sign_only=True)
+                             sign_only=True, prefix=prefix)
             # each word's sign bit, moved to the newest register position
             if nbits == 64:
                 bits &= _TWO63
@@ -693,7 +709,8 @@ class GLdWalkModel:
         k = 1..n (a generator of exactly n arrays).
 
         (phi_k, lam_k) are keyed by (seed, replication, series, k) and
-        hashed for a block of steps at a time.
+        hashed for a block of steps at a time, on key prefixes derived
+        once per call and channel.
         ``start`` holds unit start directions of shape
         (..., len(replications), d); leading axes are chains driven by the
         same matrices.  The default is the quenched start e1.
@@ -705,11 +722,13 @@ class GLdWalkModel:
         else:
             y = np.array(start, dtype=np.float64, order="C")
         flat = y.reshape(-1, self.d)  # a view: y stays C-contiguous
+        p_phi = key_prefix(seed, reps, series, 0)
+        p_lam = key_prefix(seed, reps, series, 1)
         for ks in _step_blocks(len(reps), n):
-            u_phi = (raw_words(seed, reps, series, ks[:, None], channel=0)
-                     >> np.uint64(11)) * 2.0 ** -53
-            u_lam = (raw_words(seed, reps, series, ks[:, None], channel=1)
-                     >> np.uint64(11)) * 2.0 ** -53
+            u_phi = (raw_words(seed, reps, series, ks[:, None], channel=0,
+                               prefix=p_phi) >> np.uint64(11)) * 2.0 ** -53
+            u_lam = (raw_words(seed, reps, series, ks[:, None], channel=1,
+                               prefix=p_lam) >> np.uint64(11)) * 2.0 ** -53
             for phi_u, lam_u in zip(u_phi, u_lam):
                 phi = 2.0 * np.pi * phi_u
                 lam = self.lambda_max * (2.0 * lam_u - 1.0)

@@ -13,8 +13,10 @@ from weakdep.innovations import (
     SERIES_BASE,
     SERIES_PRIME,
     get_law,
+    key_prefix,
     law_values,
     raw_words,
+    time_row,
     uniform01,
 )
 
@@ -278,6 +280,56 @@ def test_raw_words_match_reference_with_out():
     got = raw_words(4, reps, SERIES_BASE, times, 300, out=out)
     assert got is out
     assert np.array_equal(out, _ref_block(4, reps, SERIES_BASE, times, 300))
+
+
+def _hoisted_equals_plain(seed, replication, series, times, channel,
+                          prefix, premixed_times, ref_columns=slice(None)):
+    """raw_words on premixed parts equals the plain call, and the oracle
+    on the columns ``ref_columns``."""
+    got = raw_words(seed, replication, series, times, channel, prefix=prefix,
+                    premixed_times=premixed_times)
+    plain = raw_words(seed, replication, series, times, channel)
+    assert np.array_equal(got, plain)
+    reps, ts, chans = (k[:, ref_columns] for k in np.broadcast_arrays(
+        replication, times, channel))
+    assert np.array_equal(got[:, ref_columns],
+                          _ref_block(seed, reps, series, ts, chans))
+
+
+@pytest.mark.parametrize("seed", [0, -7, 2**62 + 3])
+@pytest.mark.parametrize("series", [SERIES_BASE, SERIES_PRIME, SERIES_AUX])
+@pytest.mark.parametrize("channel", [0, 1, 300])
+def test_raw_words_on_hoisted_parts_match_plain_and_reference(seed, series,
+                                                              channel):
+    # (rows, 1) x (T,) in 8-row slices with a ragged last one: the blocked
+    # linear sums, which derive both parts once for every slice
+    reps, times = np.arange(-5, 14)[:, None], np.arange(-40, 25)
+    prefix, t = key_prefix(seed, reps, series, channel), time_row(times)
+    for a in range(0, len(reps), 8):
+        _hoisted_equals_plain(seed, reps[a:a + 8], series, times, channel,
+                              prefix[a:a + 8], t)
+    # (steps, 1) x (R,): the doubling and GL step kernels, one prefix for
+    # every step block and the time row of each block
+    reps = np.arange(40)
+    prefix = key_prefix(seed, reps, series, channel)
+    for ks in (np.arange(-3, 6), np.arange(6, 9)):
+        _hoisted_equals_plain(seed, reps, series, ks[:, None], channel,
+                              prefix, time_row(ks[:, None]))
+
+
+@pytest.mark.parametrize("seed", [0, -7, 2**62 + 3])
+@pytest.mark.parametrize("series", [SERIES_BASE, SERIES_PRIME, SERIES_AUX])
+def test_channel_column_on_hoisted_parts_matches_plain_and_reference(
+        seed, series):
+    # BLOCK_KEYS' channel column: law_values slices it, and the prefix
+    # with it, in 13-row slices
+    rep, times, channels = BLOCK_KEYS["channel-column"]
+    prefix, t = key_prefix(seed, rep, series, channels), time_row(times)
+    assert prefix.shape == (20, 1)
+    rows = KEY_BLOCK // len(times)
+    for a in range(0, len(channels), rows):
+        _hoisted_equals_plain(seed, rep, series, times, channels[a:a + rows],
+                              prefix[a:a + rows], t, slice(None, None, 250))
 
 
 def test_sign_only_laws_read_only_bit_63():

@@ -9,7 +9,7 @@ from coupling_reference import InnovationWindow, draw_window, evaluate
 from scipy.stats import ks_2samp
 
 import weakdep
-from weakdep import processes
+from weakdep import innovations, processes
 from weakdep.dependence import theta_gl_surrogate
 from weakdep.errors import ModelMismatchError, PreconditionError
 from weakdep.innovations import (
@@ -383,6 +383,42 @@ def test_gl_surrogate_hashes_exactly_k_steps(hash_calls):
     theta_gl_surrogate(GLdWalkModel(d=2), k, 2.0, R=R, seed=1)
     assert sum(words for _, words, _ in hash_calls) == 2 * R * k
     assert len(hash_calls) == 2 * _block_count(k, R)
+
+
+def test_linear_sums_derive_key_prefix_once_per_window(monkeypatch):
+    words, states = [], []
+    stream_state = innovations._stream_state
+
+    def counted_words(*args, **kwargs):
+        out = raw_words(*args, **kwargs)
+        words.append(out.size)
+        return out
+
+    def counted_state(*args):
+        states.append(args)
+        return stream_state(*args)
+    # the linear sums reach raw_words through law_values
+    monkeypatch.setattr(processes, "raw_words", counted_words)
+    monkeypatch.setattr(innovations, "raw_words", counted_words)
+    monkeypatch.setattr(innovations, "_stream_state", counted_state)
+    R, n, L = 2000, 128, 4096
+    model = LinearModel(DifferenceScheme("power", 0.25, L),
+                        get_law("rademacher"))
+    partial_sums(model, 0, np.arange(R), n)
+    T = L + n - 1
+    # 8-row blocks per chunk, a lone tail row folded into the one before
+    expected = []
+    for rows in _chunks(R, T):
+        blocks = [8] * (rows // 8) + ([rows % 8] if rows % 8 else [])
+        if len(blocks) > 1 and blocks[-1] == 1:
+            blocks[-2:] = [9]
+        expected += [b * T for b in blocks]
+    assert _chunks(R, T) == [993, 993, 14] and len(expected) == 250
+    assert words == expected and sum(words) == R * T
+    # one key prefix per window of at most KEY_BLOCK // 8 replications,
+    # here one per chunk, not one per block
+    assert len(states) == sum(-(-rows // (KEY_BLOCK // 8))
+                              for rows in _chunks(R, T)) == 3
 
 
 _BLAS_SUM = """
