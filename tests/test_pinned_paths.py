@@ -16,6 +16,12 @@ loops over enough replications that the steps are hashed in several
 blocks, the last one partial.  Their digests were recorded when every
 chunk was hashed in one call and every step in a call of its own.
 
+The wide theta cases cross the row blocks of the coupled windows: the
+holder-depcoef preset's model at 2049 replications, and a 4096-term
+scheme cut to 404-deep windows at lag 100, whose last block is ragged.
+Their digests were recorded when each window was built as one
+(replications x depth) matrix.
+
 The long-row doubling cases sum rows of 129 and 520 values, past one
 128-value leaf of numpy's pairwise row sum, for every observable and its
 m = 4 projection.  Their digests were recorded when S_n was the row sum
@@ -71,16 +77,24 @@ CANCEL = LinearModel(DifferenceScheme("power", 0.25, 512),
 HOLDER = HolderOfLinearModel(GeometricScheme(0.5, 64),
                              get_law("standard-gaussian"),
                              observable="abs-center", beta=0.5)
+# the holder-depcoef preset's model: 2049 replications of its 64-deep
+# windows take a 1024-row block and a 1025-row one with the lone tail row
+HOLDER_COS = HolderOfLinearModel(GeometricScheme(0.5, 64),
+                                 get_law("standard-gaussian"))
+# at l = 100 a 4096-term scheme is cut to 404-deep windows: 1000
+# replications take six 160-row blocks and a 40-row tail
+CANCEL_4096 = LinearModel(DifferenceScheme("power", 0.25, 4096),
+                          get_law("rademacher"))
 # rows past one 128-value leaf of numpy's pairwise sum: one split, and
 # two levels of splits with a ragged last leaf
 LONG_ROWS = (129, 520)
 EDGE_WORDS = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
 
 
-def _theta(model, l):
+def _theta(model, l, R=1000):
     """The four numbers of a theta_mc entry, without its lag, in the order
     their digests were recorded."""
-    e = theta_mc(model, l, 2.0, R=1000, seed=3)
+    e = theta_mc(model, l, 2.0, R=R, seed=3)
     return [e.theta_prime, e.theta_star, e.se_prime, e.se_star]
 
 
@@ -97,6 +111,9 @@ def _cases():
         "cancel-partial-sums-wide": lambda: partial_sums(
             CANCEL, 7, np.arange(300), 64),
         "holder-abs-theta-depth64": lambda: _theta(HOLDER, 5),
+        "holder-cos-theta-r2049-l1": lambda: _theta(HOLDER_COS, 1, R=2049),
+        "holder-cos-theta-r2049-l32": lambda: _theta(HOLDER_COS, 32, R=2049),
+        "cancel4096-theta-l100": lambda: _theta(CANCEL_4096, 100),
         "doubling-cos2pi-partial-sums-wide": lambda: partial_sums(
             DoublingModel("cos2pi"), 7, WIDE_REPS, 40),
         "gl2-partial-sums-wide": lambda: partial_sums(GL2, 7, WIDE_REPS, 40),
@@ -148,6 +165,8 @@ def _cases():
 PINNED = {
     "cancel-partial-sums-wide":
         "ba8f89d684d6745c71a90a51d4237e26bf105f72b896f42620b362818a4097c1",
+    "cancel4096-theta-l100":
+        "3bd90ec2ca66278016197331a96431621be0cf325ceb0f9f4e73e879358cf312",
     "doubling-centered-x-autocov-exact":
         "1c993f306ed49bfc745ad121b74cccfbb248db9867f6afd0675b0b6bb877cfad",
     "doubling-centered-x-autocov-exact-k18":
@@ -248,6 +267,10 @@ PINNED = {
         "7e99921f0e733e4ec45b3522cb4ad484b94f85535cce6078057ed2a413abfa46",
     "holder-abs-theta-depth64":
         "0683ed7f110977a4707c057d10005fc2ab3eff2f2751d41ac3e9a765e8eb2c1d",
+    "holder-cos-theta-r2049-l1":
+        "dbcc8e313e6845869aa9489eba672a5fd1f42a3015e60f97ebe9c64c20538da7",
+    "holder-cos-theta-r2049-l32":
+        "759d4d911e8ce4a585869546c6fa0691536dfe3489855c9fadee008efd398ea4",
     "law-centered-uniform-edge-words":
         "b97f1d7aa8beba623c197cc4306dccea34efbc672fc6a133c6a2df1e07100a67",
     "law-centered-uniform-values":
