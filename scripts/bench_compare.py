@@ -12,12 +12,13 @@ output holds, per workload and metric, the runs of both sides, their
 medians and quartiles, and the number of pairs in which the working tree
 did better. One traced run per side also records perfbench's exact work
 counts with that run's verdict; they agree only if both traced runs are
-correct and every count is present and equal. The same run's per-layer
-metrics (the ``per_layer`` list of BENCHMARK.json, e.g.
-``innovations.hash_s`` and each layer's ``self_s``) are kept beside the
-counts, so a file shows which layer a change of ``run_s`` came from. The
-exit status is 0 only if every run of the working tree is correct and
-every workload's counts agree.
+correct and every count is present and equal, and ``differ`` names the
+counts whose values are not equal (a count missing on one side only
+differs too). The same run's per-layer metrics (the ``per_layer`` list
+of BENCHMARK.json, e.g. ``innovations.hash_s`` and each layer's
+``self_s``) are kept beside the counts, so a file shows which layer a
+change of ``run_s`` came from. The exit status is 0 only if every run of
+the working tree is correct and every workload's counts agree.
 """
 
 from __future__ import annotations
@@ -129,7 +130,9 @@ def compare(workload, metrics, layers, base_dir, seed, seconds) -> dict:
         **counts,
         "equal": (counts["base"]["correct"] and counts["change"]["correct"]
                   and None not in values["base"] + values["change"]
-                  and values["base"] == values["change"])}
+                  and values["base"] == values["change"]),
+        "differ": [k for k in EXACT_COUNTS
+                   if counts["base"][k] != counts["change"][k]]}
     out["machine"] = runs["change"][0].get("machine")
     out["env"] = runs["change"][0].get("env")
     return out

@@ -3,10 +3,10 @@
 ``weakdep run config.json`` executes one experiment described by a JSON
 document and persists CSV/JSON results, plot-data files and a run
 manifest.  Identical (config, seed) runs reproduce every output file
-bit-exactly, independent of ``threads``.  Linear-model Monte Carlo sums
-and the Hoelder centering reduce with a BLAS gemv over blocks aligned to
-8 rows, whose bits equal the unblocked single-thread product; tests show
-them and the ``theta_mc`` window products independent of the BLAS thread
+bit-exactly, independent of ``threads``.  Linear-model Monte Carlo sums,
+the Hoelder centering and the ``theta_mc`` windows reduce with a BLAS
+gemv over blocks aligned to 8 rows, whose bits equal the unblocked
+single-thread product; tests show them independent of the BLAS thread
 count (README, Determinism).
 Exit codes: 0 success,
 1 runtime failure, 2 config parse error, 3 precondition violation,

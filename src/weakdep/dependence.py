@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ModelMismatchError, PreconditionError, check_replications
 from .innovations import KEY_BLOCK, SERIES_BASE, SERIES_PRIME, law_values
-from .processes import CoefficientScheme
+from .processes import CoefficientScheme, row_blocks
 from .rates import loglog_wls
 
 __all__ = [
@@ -110,19 +110,27 @@ def theta_mc(model, l: int, p: float, R: int, seed: int = 0,
              rep_start: int = 0) -> ProfileEntry:
     """Monte Carlo theta'_l(p), theta*_l(p) from coupled windows: the base
     and filtered evaluations share every innovation except the substituted
-    ones, so the difference isolates the dependence on lag l."""
+    ones, so the difference isolates the dependence on lag l.
+
+    The windows are hashed, coupled and evaluated one ``row_blocks`` block
+    of replications at a time, in one buffer: the base window, then the
+    primed one (column l from the primed series), then the starred one
+    (columns l on).  No (R, depth) matrix is built, and a linear readout's
+    gemv keeps the bits of the whole window matrix's product."""
     depth = check_theta(model, l, p, R)
-    reps = (rep_start + np.arange(R))[:, None]
+    reps = rep_start + np.arange(R)
     times = l - np.arange(depth)  # window anchored at k = l
-    base = law_values(model.law, seed, reps, SERIES_BASE, times)
-    prime_tail = law_values(model.law, seed, reps, SERIES_PRIME, times[l:])
-    x = model.evaluate_values(base)
-    primed = base.copy()
-    primed[:, l] = prime_tail[:, 0]
-    x_prime = model.evaluate_values(primed)
-    starred = base
-    starred[:, l:] = prime_tail  # base no longer needed; reuse the buffer
-    x_star = model.evaluate_values(starred)
+    x, x_prime, x_star = (np.empty(R) for _ in range(3))
+    for a, b in row_blocks(R, depth):
+        block = reps[a:b, None]
+        window = law_values(model.law, seed, block, SERIES_BASE, times)
+        prime_tail = law_values(model.law, seed, block, SERIES_PRIME,
+                                times[l:])
+        x[a:b] = model.evaluate_values(window)
+        window[:, l] = prime_tail[:, 0]
+        x_prime[a:b] = model.evaluate_values(window)
+        window[:, l:] = prime_tail
+        x_star[a:b] = model.evaluate_values(window)
     pow_prime = np.abs(x - x_prime) ** p
     pow_star = np.abs(x - x_star) ** p
     theta_prime = float(np.mean(pow_prime) ** (1.0 / p))

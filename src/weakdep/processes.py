@@ -77,6 +77,7 @@ __all__ = [
     "truncation_error",
     "m_project",
     "gl_center_profile",
+    "row_blocks",
 ]
 
 # target element count for chunked replication loops
@@ -307,28 +308,39 @@ class DifferenceScheme(CoefficientScheme):
         return abs(a_last - a_prev) * a_prev
 
 
+def _block_height(row_len: int) -> int:
+    """Rows of a gemv block: a multiple of 8 near ``KEY_BLOCK`` keys."""
+    return 8 * max(1, KEY_BLOCK // (8 * row_len))
+
+
+def row_blocks(n_rows: int, row_len: int):
+    """The (a, b) row ranges in which an (n_rows, row_len) matrix of
+    innovation values is hashed and reduced, one block of about
+    ``KEY_BLOCK`` keys at a time.  Blocks start at row offsets that are
+    multiples of 8, and a lone tail row joins the block before it, since
+    numpy takes a 1-row product through dot, not gemv.  So on one BLAS
+    thread a gemv of every block has the bits of the whole matrix's
+    product; tests show the same bits on two BLAS threads."""
+    starts = list(range(0, n_rows, _block_height(row_len)))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    yield from zip(starts, starts[1:] + [n_rows])
+
+
 def _weighted_sums(law, seed, reps: np.ndarray, series, times: np.ndarray,
                    w: np.ndarray, channel=0) -> np.ndarray:
     """``law_values(law, seed, reps[:, None], series, times) @ w`` without
-    the law matrix: its rows are hashed and reduced one block of about
-    ``KEY_BLOCK`` keys at a time.  The gemv runs on
-    blocks whose row offsets are multiples of 8 and never on a lone tail
-    row, so on one BLAS thread every sum has the bits of the whole
-    matrix's product; tests show the same bits on two BLAS threads.
+    the law matrix: its rows are hashed and reduced in ``row_blocks``.
 
     The premixed time row is derived once, and the key prefix once per
     window of whole blocks and at most ``KEY_BLOCK // 8`` replications
     (a larger block is a window of its own), so its column stays small."""
-    height = 8 * max(1, KEY_BLOCK // (8 * len(times)))
+    height = _block_height(len(times))
     window = height * max(1, KEY_BLOCK // (8 * height))
     out = np.empty(len(reps))
-    starts = list(range(0, len(reps), height))
-    # numpy takes a 1-row product through dot, not gemv
-    if len(starts) > 1 and len(reps) - starts[-1] == 1:
-        starts.pop()
     t = time_row(times)
     lo = hi = 0
-    for a, b in zip(starts, starts[1:] + [len(reps)]):
+    for a, b in row_blocks(len(reps), len(times)):
         if b > hi:
             lo, hi = a, min(a + window, len(reps))
             if len(reps) - hi == 1:  # the folded tail row

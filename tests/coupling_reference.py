@@ -1,12 +1,12 @@
 """Scalar reference coupling: one innovation window at a time.
 
 ``weakdep.dependence.theta_mc`` builds the base, primed and starred
-windows of many replications at once.  This module builds them for one
-replication, slot by slot, from the same counter-keyed streams, so the
-tests can check the vectorized coupling against an independent
-construction: a primed window replaces the innovation at one lag by its
-copy on the primed series, a starred window replaces every innovation
-from that lag on.
+windows of a block of replications at a time, in one buffer.  This
+module builds them for one replication, slot by slot, from the same
+counter-keyed streams, so the tests can check the vectorized coupling
+against an independent construction: a primed window replaces the
+innovation at one lag by its copy on the primed series, a starred window
+replaces every innovation from that lag on.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from coupling_reference import (
@@ -19,6 +21,7 @@ from weakdep.dependence import (
 from weakdep.errors import ModelMismatchError, PreconditionError
 from weakdep.innovations import get_law
 from weakdep.processes import (
+    DifferenceScheme,
     DoublingModel,
     GeometricScheme,
     GLdWalkModel,
@@ -96,6 +99,23 @@ def test_theta_mc_self_consistency_r_scaling():
     a = theta_mc(m, 2, 2.0, R=4000, seed=9)
     b = theta_mc(m, 2, 2.0, R=16_000, seed=9)
     assert abs(a.theta_prime - b.theta_prime) <= 3 * (a.se_prime + b.se_prime)
+
+
+@pytest.mark.parametrize("model, l", [
+    (HolderOfLinearModel(GeometricScheme(0.5, 64), GAUSS), 1),
+    (LinearModel(DifferenceScheme("power", 0.25, 4096),
+                 get_law("rademacher")), 100),
+], ids=["holder-preset", "cancel-4096"])
+def test_theta_mc_builds_no_window_matrix(model, l):
+    tracemalloc.start()
+    try:
+        theta_mc(model, l, 2.0, R=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the base window alone would take 10 MB at depth 64 and 65 MB at
+    # depth 404
+    assert peak < 4 * 2**20
 
 
 def test_theta_mc_preconditions():

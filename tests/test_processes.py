@@ -30,6 +30,7 @@ from weakdep.processes import (
     identity_scheme,
     m_project,
     partial_sums,
+    row_blocks,
     sample_path,
     truncation_error,
 )
@@ -524,6 +525,20 @@ for scheme, law, obs in ((GeometricScheme(0.5, 64), "rademacher",
         differ.append((law, obs, scheme.length))
 print(differ)
 """
+
+
+@pytest.mark.parametrize("row_len", [1, 64, 404, 4607, 70_000])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 9, 1000, 1025, 2049, 20_000])
+def test_row_blocks_partition_rows_at_multiples_of_8(n_rows, row_len):
+    blocks = list(row_blocks(n_rows, row_len))
+    height = 8 * max(1, KEY_BLOCK // (8 * row_len))
+    assert [a for a, _ in blocks] == list(range(0, n_rows, height))[
+        :len(blocks)]
+    assert [b for _, b in blocks[:-1]] == [a for a, _ in blocks[1:]]
+    assert (blocks[-1][1] if blocks else 0) == n_rows
+    # a lone tail row joins the block before it
+    assert all(b - a > 1 for a, b in blocks[1:])
+    assert all(b - a <= height + 1 for a, b in blocks)
 
 
 def test_linear_sums_equal_whole_chunk_gemv_bits():
