@@ -37,6 +37,18 @@ The law cases pin each innovation law on its own: ``law_values`` over a
 and ``sample`` on the edge words 0, 1, 2^63 - 1, 2^63 and 2^64 - 1.
 Their digests were recorded when every block was hashed into a fresh
 array and transformed into another.
+
+The step-block doubling cases hash the register pre-sample and the steps
+in blocks whose edges fall inside the pre-sample, at its last bit and
+among the steps: 3000 replications take 21 steps per block, so the
+64-bit register's pre-sample ends inside a block of steps 1..20 and an
+m = 5 projection's 5-bit pre-sample shares its block with steps 1..16;
+33,000 replications take one step per block, and a single replication
+hashes its whole pre-sample and 200 steps in one block.  The wide GL_2 Monte Carlo
+table reads 2049 replications of its 64-step products in a 1024-row
+block and a 1025-row one with the lone tail row.  Their digests were
+recorded when the pre-sample was hashed in one call of its own and each
+lag's products were one (replications x steps) matrix.
 """
 
 import hashlib
@@ -88,6 +100,10 @@ CANCEL_4096 = LinearModel(DifferenceScheme("power", 0.25, 4096),
 # rows past one 128-value leaf of numpy's pairwise sum: one split, and
 # two levels of splits with a ragged last leaf
 LONG_ROWS = (129, 520)
+# 21 steps per key block: the pre-sample's last bit opens the block of
+# steps 1..20 (one step per block at 33,000)
+R21_REPS = np.arange(3000)
+ONE_STEP_REPS = np.arange(33_000)
 EDGE_WORDS = np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
 
 
@@ -96,6 +112,11 @@ def _theta(model, l, R=1000):
     their digests were recorded."""
     e = theta_mc(model, l, 2.0, R=R, seed=3)
     return [e.theta_prime, e.theta_star, e.se_prime, e.se_star]
+
+
+def _table(table):
+    """An autocovariance table's gamma followed by its standard errors."""
+    return np.concatenate([table.gamma, table.stderr])
 
 
 def _cases():
@@ -119,7 +140,19 @@ def _cases():
         "gl2-partial-sums-wide": lambda: partial_sums(GL2, 7, WIDE_REPS, 40),
         "gl-surrogate-k21-wide": lambda: np.array(
             theta_gl_surrogate(GL2, 21, 2.0, R=4096, seed=2)),
+        "gl2-autocov-mc-r2049": lambda: _table(autocovariance(
+            GL2, K=4, method="monte-carlo", R=2049, seed=11)),
+        "doubling-cos2pi-partial-sums-one-step-blocks": lambda: partial_sums(
+            DoublingModel("cos2pi"), 7, ONE_STEP_REPS, 10),
     }
+    for tag, m in (("", DoublingModel("cos2pi")),
+                   ("-m5", m_project(DoublingModel("cos2pi"), 5))):
+        cases[f"doubling-cos2pi{tag}-partial-sums-r3000"] = (
+            lambda m=m: partial_sums(m, 7, R21_REPS, 50))
+        cases[f"doubling-cos2pi{tag}-paths-r3000"] = (
+            lambda m=m: m.paths(7, R21_REPS, 50))
+        cases[f"doubling-cos2pi{tag}-sample-path-n200"] = (
+            lambda m=m: sample_path(m, 7, 3, 200))
     # the projected model has no exact route of its own; its table is the
     # same quadrature on the cell-mean observable
     cases["doubling-cos2pi-m12-autocov-exact-k18"] = (
@@ -197,6 +230,8 @@ PINNED = {
         "8478f61c256c74ff55ee19cdefd1ac01e744208ba8adf1f14d5880bc36a62ad0",
     "doubling-cos2pi-autocov-exact-k18":
         "085486c423adb22f4cec04f5da7aaa675e0ed41192f24301f74cb56dc19cec4b",
+    "doubling-cos2pi-m12-autocov-exact-k18":
+        "5e6db944c8a77d7d3831f6191e0468e54ffeb445e42fbcf876ac46a9847c42b9",
     "doubling-cos2pi-m4-autocov-mc":
         "6360dbd40f6d3cc46f1dc61a5543f179b6b5c262782db3930d60c91d41409708",
     "doubling-cos2pi-m4-partial-sums":
@@ -207,18 +242,30 @@ PINNED = {
         "059f95d0a18ef0569d0f2c7fb159680c028b54d6b5e129a05bb0cd53fac5dc36",
     "doubling-cos2pi-m4-theta":
         "4b1f46959e0e27a73b6b8c1c04218ba65314786bf19bcf35fdbcd71fd928497a",
-    "doubling-cos2pi-m12-autocov-exact-k18":
-        "5e6db944c8a77d7d3831f6191e0468e54ffeb445e42fbcf876ac46a9847c42b9",
+    "doubling-cos2pi-m5-partial-sums-r3000":
+        "4d4f7b289ca7ec2bb9d04bf20324d911cf413b4444c5f2a0851d34125355aef9",
+    "doubling-cos2pi-m5-paths-r3000":
+        "db89eefaadf5f435f514b9d45df856fad8be102a44b402df5b2265cb8324cfbe",
+    "doubling-cos2pi-m5-sample-path-n200":
+        "5685d244cdfd64706d783ac07409540134d50ff44aa84c4eb8eecc5797780970",
     "doubling-cos2pi-partial-sums":
         "82a878095f04585504b38f62b5c9593a510b5ba6162773469609705c41735a53",
     "doubling-cos2pi-partial-sums-n129":
         "785b389f674964c9db312261573d75ddb16ba7192d3d2c1887769347dfc92f06",
     "doubling-cos2pi-partial-sums-n520":
         "2bfcde4f5efd5879c2ffc5835cfeb78dc207c6300068235d6e5c37fbb220c1f1",
+    "doubling-cos2pi-partial-sums-one-step-blocks":
+        "894e865825c3fe47864e21648e3f6de74b841d7daea6d6538aeb06478c59a9c8",
+    "doubling-cos2pi-partial-sums-r3000":
+        "c1db17d01af8c7b502d2d788dca14c6bfc28f099a9c2e8560690da58a5012467",
     "doubling-cos2pi-partial-sums-wide":
         "ea9fa85b49a095da4282c54efffe584cf3d84f93d86a8ab843fa83b96afa6036",
+    "doubling-cos2pi-paths-r3000":
+        "71cc1c574aa8c636e9a418c21dab7e5e5bc1e43c9eed0884e2d44459f0ac12f3",
     "doubling-cos2pi-sample-path":
         "b0397d8fffaa36badac3e9fc0d18138d46e167da935e1a673e19fdd536204531",
+    "doubling-cos2pi-sample-path-n200":
+        "4ec2a8b2638c20df75de4abdbc0a15576bdada508103238ae5916bc81da1de44",
     "doubling-cos2pi-theta":
         "ea2e71f7350bdfb6eaef24804396a7d3d73eabe206292705f99cee2bf91673ad",
     "doubling-cos2pi-truncation":
@@ -255,6 +302,8 @@ PINNED = {
         "b3dc35f911c504053e85618eb424b391788826375c28ad387b41fee60a26883f",
     "gl2-autocov-mc":
         "e9f5e038a8300e45fb6bbf05fa7ffa3390c8d54f0a11ccb8196006175d3095f0",
+    "gl2-autocov-mc-r2049":
+        "b8db8f71bbe8d858c4ee58faada666333c473e5a84e6489985a7f5661e7f8d62",
     "gl2-partial-sums":
         "c75e4b19e4a583e33f2dabaefcefa94d014bd52cc5df4d30544be6bef38118e3",
     "gl2-partial-sums-wide":
