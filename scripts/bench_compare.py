@@ -4,7 +4,8 @@
 
 The base revision is extracted with ``git archive`` into a temporary
 directory, so the repository gains no worktree. For each workload that
-BENCHMARK.json declares, ``perfbench/run.py --trace 0`` then runs on the
+BENCHMARK.json declares (or each one named by a repeated ``--workload
+NAME``), ``perfbench/run.py --trace 0`` then runs on the
 base and on the working tree in alternating order, ten times each, for
 the ``run_seconds`` that BENCHMARK.json sets. Each run reports the
 end-to-end metrics of BENCHMARK.json as medians over its experiments. The
@@ -144,11 +145,20 @@ def main() -> int:
                     help="revision to compare the working tree against")
     ap.add_argument("--seed", type=int, required=True,
                     help="perfbench seed of every run")
+    ap.add_argument("--workload", action="append", metavar="NAME",
+                    help="run only this BENCHMARK.json workload; repeat "
+                         "for several (default: all of them)")
     ap.add_argument("--out", help="JSON file to write (default: stdout)")
     args = ap.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
+    if args.workload:
+        unknown = sorted(set(args.workload) - set(workloads))
+        if unknown:
+            ap.error(f"unknown workload(s) {unknown}; BENCHMARK.json "
+                     f"declares {workloads}")
+        workloads = [w for w in workloads if w in args.workload]
     result = {"base": git("rev-parse", args.base),
               "change": "working tree on " + git("rev-parse", "HEAD"),
               "command": " ".join(bench["command"]),

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -491,39 +490,72 @@ class HolderOfLinearModel(_LinearFilter):
 _TWO63 = np.uint64(1) << np.uint64(63)
 
 
-def _unit(x):
+def _unit(x, out):
     """A point of [0, 1) given as floats or as 64-bit register words
-    (u = w * 2^-64, newest bit at the MSB), as floats."""
-    return x * 2.0 ** -64 if x.dtype == np.uint64 else x
+    (u = w * 2^-64, newest bit at the MSB), as floats in ``out``, which
+    may be ``x`` itself."""
+    if x.dtype == np.uint64:
+        np.multiply(x, 2.0 ** -64, out=out)
+    elif x is not out:
+        np.copyto(out, x)
 
 
-def _indicator_half(x):
+def _cos2pi(x, out):
+    _unit(x, out)
+    out *= 2.0 * np.pi
+    np.cos(out, out=out)
+
+
+def _centered_x(x, out):
+    _unit(x, out)
+    out -= 0.5
+
+
+def _indicator_half(x, out):
     # words are compared as integers: w * 2^-64 rounds the words just
-    # below 2^63 up to 1/2
-    return np.where(x < (_TWO63 if x.dtype == np.uint64 else 0.5), 0.5, -0.5)
+    # below 2^63 up to 1/2; True - 0.5 and False - 0.5 are exactly +-1/2
+    np.subtract(x < (_TWO63 if x.dtype == np.uint64 else 0.5), 0.5, out=out)
+
+
+def _cos2pi_cell_mean(x, h, out):
+    # sin(2 pi x) in a scratch array, before out (possibly x) is written
+    low = np.multiply(x, 2 * np.pi, out=np.empty_like(out))
+    np.sin(low, out=low)
+    np.add(x, h, out=out)
+    out *= 2 * np.pi
+    np.sin(out, out=out)
+    out -= low
+    out /= 2 * np.pi * h
+
+
+def _centered_x_cell_mean(x, h, out):
+    np.add(x, h / 2.0, out=out)
+    out -= 0.5
+
+
+def _indicator_half_cell_mean(x, h, out):
+    np.add(x, h, out=out)
+    np.subtract(out <= 0.5, 0.5, out=out)
 
 
 class _DoublingObservable(NamedTuple):
-    f: Callable             # f(x), x floats in [0, 1) or register words
-    cell_mean: Callable     # mean of f over [x, x + h), h = 2^-m
+    # each writes its values into ``out``, which may be its input x
+    f: Callable             # (x, out): f(x), x floats in [0, 1) or words
+    cell_mean: Callable     # (x, h, out): mean of f over [x, x + h), h = 2^-m
     modulus: Callable       # L2 change of f over a shift of the state by h
 
 
 _DOUBLING_OBSERVABLES = {
     "cos2pi": _DoublingObservable(
-        f=lambda x: np.cos(2.0 * np.pi * _unit(x)),
-        cell_mean=lambda x, h: (np.sin(2 * np.pi * (x + h))
-                                - np.sin(2 * np.pi * x)) / (2 * np.pi * h),
+        f=_cos2pi, cell_mean=_cos2pi_cell_mean,
         modulus=lambda h: 2.0 * np.pi * h),
     "centered-x": _DoublingObservable(
-        f=lambda x: _unit(x) - 0.5,
-        cell_mean=lambda x, h: x + h / 2.0 - 0.5,
+        f=_centered_x, cell_mean=_centered_x_cell_mean,
         modulus=lambda h: h),
     # x and 1/2 are multiples of h, so a cell never straddles 1/2; the
     # indicator has no Lipschitz constant but obeys w_2(f, t) <= sqrt(t)
     "indicator-half": _DoublingObservable(
-        f=_indicator_half,
-        cell_mean=lambda x, h: np.where(x + h <= 0.5, 0.5, -0.5),
+        f=_indicator_half, cell_mean=_indicator_half_cell_mean,
         modulus=lambda h: np.sqrt(h)),
 }
 
@@ -537,12 +569,13 @@ def _doubling_observable(name: str) -> _DoublingObservable:
         ) from None
 
 
-def _step_blocks(nreps: int, n: int):
-    """Steps 1..n in blocks of at most KEY_BLOCK // nreps steps (one at
-    least).  One hash call covers a block for every replication, as a
-    (steps, nreps) array with one contiguous row per step."""
+def _step_blocks(nreps: int, n: int, first: int = 1):
+    """Times first..n in blocks of at most KEY_BLOCK // nreps times (one
+    at least), the last block possibly shorter.  One hash call covers a
+    block for every replication, as a (times, nreps) array with one
+    contiguous row per time."""
     steps = max(1, KEY_BLOCK // nreps)
-    for k0 in range(1, n + 1, steps):
+    for k0 in range(first, n + 1, steps):
         yield np.arange(k0, min(k0 + steps, n + 1))
 
 
@@ -585,7 +618,8 @@ def _row_sums(values, n: int) -> np.ndarray:
     """The elementwise sum of the next n arrays of the iterator ``values``,
     bit for bit what ``ndarray.sum(axis=1)`` gives on the matrix with those
     arrays as its columns, without building that matrix.  The arrays are
-    read, never written."""
+    read, never written, and each needs to stay valid only until the next
+    one is drawn: what the sum keeps of one, it copies."""
     total = _pairwise(values, n)
     # the reduction starts from the identity, so -0.0 sums to +0.0
     total += 0.0
@@ -604,23 +638,39 @@ class _DoublingRegister(_WindowModel):
     def required_depth(self) -> int:
         return self.nbits
 
+    def register_value(self, w, out=None) -> np.ndarray:
+        """X off register words ``w`` (or off floats in [0, 1)), written
+        into ``out`` (which may be ``w`` itself; a fresh array if None)."""
+        if out is None:
+            out = np.empty(np.shape(w))
+        self._readout(w, out)
+        return out
+
     def evaluate_values(self, values: np.ndarray) -> np.ndarray:
         return self.register_value(_pack_bits(values, self.nbits))
 
     def _steps(self, seed, reps: np.ndarray, n: int):
-        """X_1..X_n over ``reps``: one fresh (len(reps),) array per step.
+        """X_1..X_n over ``reps``: one (len(reps),) array per step.
+
+        Times 1 - nbits..n run in one sequence of step blocks, each hashed
+        into one reused word buffer; the pre-sample times 1 - nbits..0
+        seed the register and yield nothing, and every call shares one
+        key prefix.  Each step writes X into one reused value buffer and
+        yields it, so a yielded array is valid only until the next one is
+        drawn: a caller that keeps it copies it.
 
         The register invariant w < 2^nbits holds throughout, so shifting
         the newest bit in needs no mask."""
         nbits = self.nbits
+        blocks = list(_step_blocks(len(reps), n, first=1 - nbits))
+        words = np.empty((len(blocks[0]), len(reps)), dtype=np.uint64)
         w = np.zeros(len(reps), dtype=np.uint64)
-        # the pre-sample times 1 - nbits..0 seed the register in one hash
-        # call and yield nothing; every call shares one key prefix
-        presample = 1 - nbits + np.arange(nbits)
+        x = np.empty(len(reps))
         prefix = key_prefix(seed, reps, SERIES_BASE)
-        for ks in chain([presample], _step_blocks(len(reps), n)):
+        for ks in blocks:
             bits = raw_words(seed, reps, SERIES_BASE, ks[:, None],
-                             sign_only=True, prefix=prefix)
+                             out=words[:len(ks)], sign_only=True,
+                             prefix=prefix)
             # each word's sign bit, moved to the newest register position
             if nbits == 64:
                 bits &= _TWO63
@@ -631,7 +681,7 @@ class _DoublingRegister(_WindowModel):
                 w >>= np.uint64(1)
                 w |= bit
                 if k > 0:
-                    yield self.register_value(w)
+                    yield self.register_value(w, out=x)
 
     def paths(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
         out = np.empty((len(reps), n))
@@ -657,8 +707,8 @@ class DoublingModel(_DoublingRegister):
     def __post_init__(self):
         _doubling_observable(self.observable)
 
-    def register_value(self, w):
-        return _DOUBLING_OBSERVABLES[self.observable].f(w)
+    def _readout(self, w, out):
+        _DOUBLING_OBSERVABLES[self.observable].f(w, out)
 
     def truncation_error(self, J: int) -> float:
         # truncating J bits moves the state by less than 2^-J
@@ -687,9 +737,10 @@ class DoublingProjectedModel(_DoublingRegister):
     def nbits(self) -> int:
         return self.m
 
-    def register_value(self, w):
-        return _DOUBLING_OBSERVABLES[self.observable].cell_mean(
-            w * 2.0 ** -self.m, 2.0 ** -self.m)
+    def _readout(self, w, out):
+        np.multiply(w, 2.0 ** -self.m, out=out)
+        _DOUBLING_OBSERVABLES[self.observable].cell_mean(
+            out, 2.0 ** -self.m, out)
 
 
 @dataclass(frozen=True)

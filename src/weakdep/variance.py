@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     choose_route,
 )
-from .processes import CoefficientScheme, partial_sums
+from .processes import CoefficientScheme, partial_sums, row_blocks
 
 __all__ = [
     "AutocovarianceTable",
@@ -117,7 +117,10 @@ def _exact_doubling_gamma(model, K: int) -> np.ndarray:
             top = 1  # the chunk's first block has no running sum above it
             for b in range(lo, hi, rows):
                 i = np.arange(b, min(b + rows, hi), dtype=np.float64)
-                buf[1:len(i) + 1] = f((i[:, None] + u[None, :]) * h)
+                x = buf[1:len(i) + 1]
+                np.add(i[:, None], u[None, :], out=x)
+                x *= h
+                f(x, out=x)
                 buf[0] = buf[top:len(i) + 1].sum(axis=0)
                 top = 0
             outer += buf[0]
@@ -127,13 +130,25 @@ def _exact_doubling_gamma(model, K: int) -> np.ndarray:
 
 
 def _mc_gamma(model, K: int, R: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Lag-k products X_t X_{t+k}, t = 1..T, averaged per replication and
+    then across R of them, with their standard errors.
+
+    Each lag's products and row means are taken in ``row_blocks`` of the
+    path matrix, in one reused block buffer; a row's mean does not depend
+    on the rows beside it, so the bits are those of the whole-matrix
+    product."""
     T = max(2 * K, 64)
     paths = model.paths(seed, _VAR_REP_OFFSET + np.arange(R), T + K)
+    blocks = list(row_blocks(R, T))
+    prods = np.empty((max(b - a for a, b in blocks), T))
+    per_rep = np.empty(R)
     g = np.empty(K + 1)
     se = np.empty(K + 1)
     for k in range(K + 1):
-        prods = paths[:, :T] * paths[:, k:T + k]
-        per_rep = prods.mean(axis=1)
+        for a, b in blocks:
+            block = prods[:b - a]
+            np.multiply(paths[a:b, :T], paths[a:b, k:T + k], out=block)
+            block.mean(axis=1, out=per_rep[a:b])
         g[k] = per_rep.mean()
         se[k] = per_rep.std(ddof=1) / np.sqrt(R)
     return g, se

@@ -192,6 +192,18 @@ def test_doubling_partial_sums_build_no_path_matrix():
     assert peak < 8 * 2**20
 
 
+def test_doubling_partial_sums_hash_presample_in_step_blocks():
+    tracemalloc.start()
+    try:
+        partial_sums(DoublingModel("cos2pi"), 0, np.arange(16384), 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a one-call (64, reps) pre-sample and its shift temporary alone
+    # would take 16 MB
+    assert peak < 4 * 2**20
+
+
 def test_doubling_lag1_autocovariance_vanishes():
     # the observable cos(2 pi x) is orthogonal to cos(4 pi x)
     m = DoublingModel("cos2pi")
@@ -365,7 +377,9 @@ def test_doubling_hashes_steps_in_blocks(hash_calls, R, n):
     assert sum(words for _, words, _ in hash_calls) == R * (n + 64)
     for chunk in _chunks(R, n + 64):
         mine = [c for c in hash_calls if c[0] == chunk]
-        assert len(mine) <= _block_count(n, chunk) + 1
+        # the 64 pre-sample times and the n steps share one block sequence
+        assert len(mine) == _block_count(n + 64, chunk)
+        assert all(words <= max(KEY_BLOCK, chunk) for _, words, _ in mine)
 
 
 @pytest.mark.parametrize("R, n", [(5000, 100), (20_000, 120)])

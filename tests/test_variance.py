@@ -13,11 +13,14 @@ from weakdep.processes import (
     DoublingModel,
     ExplicitScheme,
     GeometricScheme,
+    GLdWalkModel,
+    HolderOfLinearModel,
     LinearModel,
     PowerLawScheme,
     identity_scheme,
 )
 from weakdep.variance import (
+    _VAR_REP_OFFSET,
     autocovariance,
     exact_sum_variance_linear,
     longrun_variance,
@@ -88,6 +91,24 @@ def test_monte_carlo_autocov_matches_exact():
     for k in range(5):
         tol = 5 * mc.stderr[k]
         assert abs(mc.gamma[k] - exact.gamma[k]) <= tol
+
+
+@pytest.mark.parametrize("K", [4, 40])
+@pytest.mark.parametrize("model", [
+    GLdWalkModel(d=2), HolderOfLinearModel(GeometricScheme(0.5, 64), GAUSS)])
+def test_monte_carlo_autocov_equals_whole_matrix_products(model, K):
+    # 2049 replications take two row blocks at K = 4 (the second with the
+    # lone tail row) and three at K = 40
+    R, seed = 2049, 5
+    T = max(2 * K, 64)
+    paths = model.paths(seed, _VAR_REP_OFFSET + np.arange(R), T + K)
+    per_rep = [(paths[:, :T] * paths[:, k:T + k]).mean(axis=1)
+               for k in range(K + 1)]
+    gamma = np.array([p.mean() for p in per_rep])
+    stderr = np.array([p.std(ddof=1) / np.sqrt(R) for p in per_rep])
+    t = autocovariance(model, K=K, method="monte-carlo", R=R, seed=seed)
+    assert t.gamma.tobytes() == gamma.tobytes()
+    assert t.stderr.tobytes() == stderr.tobytes()
 
 
 # --------------------------------------------------------------------------
