@@ -109,24 +109,22 @@ def _normalizer(model, normalization: str, seed: int):
 
 
 def _empirical(model, n: int, R: int, normalization: str, denom: float,
-               seed: int, rep_start: int, delta_conf: float) -> BEEstimate:
-    """empirical_delta with the denominator resolved."""
+               seed: int, rep_start: int) -> BEEstimate:
+    """empirical_delta with the denominator resolved (a 99% DKW band)."""
     s = partial_sums(model, seed, rep_start + np.arange(R), n)
     delta = ks_distance_to_normal(s / denom)
-    hw = dkw_halfwidth(R, delta_conf)
+    hw = dkw_halfwidth(R)
     return BEEstimate(n=n, normalization=normalization, delta=delta,
                       low=max(0.0, delta - hw), high=min(1.0, delta + hw),
                       method="empirical", R=R, seed=seed)
 
 
 def empirical_delta(model, n: int, R: int, normalization: str,
-                    seed: int = 0, rep_start: int = 0,
-                    delta_conf: float = 0.01) -> BEEstimate:
+                    seed: int = 0, rep_start: int = 0) -> BEEstimate:
     """Monte Carlo Delta_n over replications rep_start..rep_start+R-1."""
     check_estimate(normalization, R)
     denom = _normalizer(model, normalization, seed)(n)
-    return _empirical(model, n, R, normalization, denom, seed, rep_start,
-                      delta_conf)
+    return _empirical(model, n, R, normalization, denom, seed, rep_start)
 
 
 def gaussian_closed_form_delta(r: float) -> float:

@@ -16,7 +16,9 @@ Each task is one function ``_task_<name>(cfg, model)``, the only code
 that reads that task's params.  It reads them once, with their defaults,
 makes every check the task makes before computing, and returns
 ``run(writer) -> summary``.  ``validate`` is that function stopped
-before ``run``; ``run`` goes on.
+before ``run``; ``run`` goes on.  Every config object is read through
+``_Reads``, which checks each numeric value's JSON type; a key it never
+read, or a ``name`` that is not a plain file name, is a config error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import UserDict
+from dataclasses import asdict, dataclass, field, replace
 
 from . import __version__
 from .bedistance import NORMALIZATIONS, check_estimate, empirical_delta
@@ -88,56 +91,96 @@ EXIT_DEGENERATE = 4
 # config parsing
 # ---------------------------------------------------------------------------
 
+# the JSON type of each numeric config key, wherever it appears: an
+# integer (int), any number (float), or a list of either
+_KINDS = {**dict.fromkeys("seed threads n R K m replications degeneracy_R "
+                          "length d".split(), int),
+          **dict.fromkeys("p a b rho beta c lambda_max".split(), float),
+          "n_grid": [int], "l_grid": [int], "alpha": [float]}
+
+
+def _typed(x, kind, name: str):
+    """``x`` as ``kind`` (see _KINDS) when JSON loaded it as one.  JSON
+    true and false load as bools, which Python counts as ints, so they are
+    neither."""
+    if isinstance(kind, list):
+        if not isinstance(x, list):
+            raise ConfigError(f"{name} must be a list, got {x!r}")
+        return [_typed(v, kind[0], name) for v in x]
+    if isinstance(x, bool) or not isinstance(x, (int, kind)):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {x!r}")
+    return kind(x)
+
+
+class _Reads(UserDict):
+    """A config object that types each value as it is read (``_KINDS``)
+    and records its key, so that a key nothing reads is refused, not
+    ignored."""
+
+    def __init__(self, doc: dict, what: str):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{what} must be an object")
+        super().__init__(doc)
+        self.what, self.read = what, set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        value = self.data[key]
+        return _typed(value, _KINDS[key], key) if key in _KINDS else value
+
+    def done(self, result):
+        """``result``, once every key has been read."""
+        if unread := sorted(self.keys() - self.read):
+            raise ConfigError(f"{self.what} keys nothing reads: {unread}")
+        return result
+
+
 def _build_scheme(spec: dict):
-    if not isinstance(spec, dict) or "variant" not in spec:
-        raise ConfigError("scheme spec must be an object with a 'variant'")
+    spec = _Reads(spec, "scheme")
     v = spec["variant"]
     if v == "explicit":
-        return ExplicitScheme(tuple(float(a) for a in spec["alpha"]))
-    if v == "power-law":
-        return PowerLawScheme(a=float(spec["a"]),
-                              length=int(spec.get("length", 4096)))
-    if v == "geometric":
-        return GeometricScheme(rho=float(spec["rho"]),
-                               length=int(spec.get("length", 128)))
-    if v == "difference":
-        return DifferenceScheme(kind=spec.get("kind", "power"),
-                                beta=float(spec.get("beta", 0.25)),
-                                length=int(spec.get("length", 4096)))
-    raise ConfigError(f"unknown scheme variant {v!r}")
+        scheme = ExplicitScheme(tuple(spec["alpha"]))
+    elif v == "power-law":
+        scheme = PowerLawScheme(a=spec["a"], length=spec.get("length", 4096))
+    elif v == "geometric":
+        scheme = GeometricScheme(rho=spec["rho"],
+                                 length=spec.get("length", 128))
+    elif v == "difference":
+        scheme = DifferenceScheme(kind=spec.get("kind", "power"),
+                                  beta=spec.get("beta", 0.25),
+                                  length=spec.get("length", 4096))
+    else:
+        raise ConfigError(f"unknown scheme variant {v!r}")
+    return spec.done(scheme)
 
 
 def build_model(spec: dict):
-    if not isinstance(spec, dict) or "variant" not in spec:
-        raise ConfigError("model spec must be an object with a 'variant'")
+    spec = _Reads(spec, "model")
     v = spec["variant"]
     if v == "linear":
-        return LinearModel(_build_scheme(spec["scheme"]),
-                           get_law(spec.get("law", "standard-gaussian")))
-    if v == "holder":
-        return HolderOfLinearModel(
+        model = LinearModel(_build_scheme(spec["scheme"]),
+                            get_law(spec.get("law", "standard-gaussian")))
+    elif v == "holder":
+        model = HolderOfLinearModel(
             _build_scheme(spec["scheme"]),
             get_law(spec.get("law", "standard-gaussian")),
             observable=spec.get("observable", "cos-shift"),
-            beta=float(spec.get("beta", 1.0)),
-            c=float(spec.get("c", 1.0)))
-    if v == "doubling":
-        return DoublingModel(observable=spec.get("observable", "cos2pi"))
-    if v == "gl-walk":
-        return GLdWalkModel(d=int(spec.get("d", 2)),
-                            lambda_max=float(spec.get("lambda_max", 1.0)))
-    raise ConfigError(f"unknown model variant {v!r}")
+            beta=spec.get("beta", 1.0), c=spec.get("c", 1.0))
+    elif v == "doubling":
+        model = DoublingModel(observable=spec.get("observable", "cos2pi"))
+    elif v == "gl-walk":
+        model = GLdWalkModel(d=spec.get("d", 2),
+                             lambda_max=spec.get("lambda_max", 1.0))
+    else:
+        raise ConfigError(f"unknown model variant {v!r}")
+    return spec.done(model)
 
 
-def _is_int(x) -> bool:
-    # JSON true and false load as bools, which Python counts as ints
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_threads(threads):
-    if not _is_int(threads) or threads < 1:
-        raise ConfigError(
-            f"threads must be an integer >= 1, got {threads!r}")
+def _check_threads(threads: int) -> int:
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads!r}")
+    return threads
 
 
 @dataclass
@@ -152,12 +195,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - {"name", "seed", "model", "task", "params",
-                              "out_dir", "threads"}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        doc = _Reads(doc, "config")
         for req in ("name", "seed", "model", "task"):
             if req not in doc:
                 raise ConfigError(f"config missing required field {req!r}")
@@ -165,16 +203,14 @@ class ExperimentConfig:
         if task not in _TASKS:
             raise ConfigError(
                 f"task must be one of {tuple(_TASKS)}, got {task!r}")
-        if not _is_int(doc["seed"]):
-            raise ConfigError(f"seed must be an integer, got {doc['seed']!r}")
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("params must be an object")
-        threads = doc.get("threads", 1)
-        _check_threads(threads)
-        cfg = cls(name=str(doc["name"]), seed=doc["seed"],
-                  model_spec=doc["model"], task=task, params=params,
-                  out_dir=doc.get("out_dir"), threads=threads)
+        # the name prefixes every output file, inside the output directory
+        name = doc["name"]
+        if not isinstance(name, str) or os.path.basename(name) != name:
+            raise ConfigError(f"name must be a plain file name, got {name!r}")
+        cfg = doc.done(cls(
+            name=name, seed=doc["seed"], model_spec=doc["model"], task=task,
+            params=doc.get("params", {}), out_dir=doc.get("out_dir"),
+            threads=_check_threads(doc.get("threads", 1))))
         cfg.validate()
         return cfg
 
@@ -183,10 +219,12 @@ class ExperimentConfig:
         read its params and make every check it makes before computing.
         Returns the task's ``run(writer) -> summary``, which ``from_dict``
         discards.  A model the task cannot run is a precondition violation
-        (exit 3); a missing field or a value that does not convert is a
-        config error (exit 2); neither is a runtime failure."""
+        (exit 3); a missing field, a mistyped value or a key nothing reads
+        is a config error (exit 2); neither is a runtime failure."""
+        params = _Reads(self.params, "params")
         try:
-            return _TASKS[self.task](self, build_model(self.model_spec))
+            run = _TASKS[self.task](replace(self, params=params),
+                                    build_model(self.model_spec))
         except ModelMismatchError as exc:
             raise PreconditionError(
                 f"task {self.task!r} cannot run model "
@@ -197,6 +235,7 @@ class ExperimentConfig:
             raise ConfigError(f"config is missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config has a bad value: {exc}") from None
+        return params.done(run)
 
     def canonical(self) -> str:
         # results do not depend on the thread count, so neither does
@@ -314,9 +353,6 @@ def emit_plotdata(writer: _OutputWriter, stem: str, curves: dict) -> list[str]:
     """One whitespace-delimited file per curve (columns x, y, ylow, yhigh,
     '#'-comment header); censored (nonpositive) rows go to a sidecar."""
     written = []
-    if not curves:
-        print("warning: no plottable results", file=sys.stderr)
-        return written
     for curve_name, rows in curves.items():
         good = [r for r in rows if r[1] > 0]
         bad = [r for r in rows if r[1] <= 0]
@@ -352,8 +388,7 @@ def _fit_dict(fit):
 
 def _count_param(params: dict, name: str, default: int | None = None) -> int:
     """Integer param ``name``, required when there is no default; >= 1."""
-    value = int(params[name] if default is None
-                else params.get(name, default))
+    value = params[name] if default is None else params.get(name, default)
     if value < 1:
         raise PreconditionError(f"{name} must be >= 1")
     return value
@@ -362,7 +397,7 @@ def _count_param(params: dict, name: str, default: int | None = None) -> int:
 def _task_rate(cfg, model):
     p = cfg.params
     norms = p.get("normalization", "sqrt-n-ss2")
-    curves = [{"n_grid": p["n_grid"], "R": int(p.get("R", 100000)),
+    curves = [{"n_grid": p["n_grid"], "R": p.get("R", 100000),
                "normalization": norm, "method": p.get("method", "auto")}
               for norm in ([norms] if isinstance(norms, str) else norms)]
     for curve in curves:
@@ -416,7 +451,7 @@ def _task_counterexample(cfg, model):
 
 def _task_bedist(cfg, model):
     p = cfg.params
-    n, R = _count_param(p, "n"), int(p.get("R", 100000))
+    n, R = _count_param(p, "n"), p.get("R", 100000)
     norm = p.get("normalization", "sqrt-n-ss2")
     check_estimate(norm, R)
 
@@ -430,8 +465,8 @@ def _task_bedist(cfg, model):
 
 def _task_depcoef(cfg, model):
     p = cfg.params
-    power, R = float(p.get("p", 2.0)), int(p.get("R", 20000))
-    grid = [int(l) for l in p.get("l_grid", [1, 2, 4, 8, 16, 32, 64])]
+    power, R = p.get("p", 2.0), p.get("R", 20000)
+    grid = p.get("l_grid", [1, 2, 4, 8, 16, 32, 64])
     for l in grid:
         check_theta(model, l, power, R)
 
@@ -460,7 +495,7 @@ def _task_variance(cfg, model):
     p = cfg.params
     K, n, m = (_count_param(p, "K", 64), _count_param(p, "n", 1024),
                _count_param(p, "m", 16))
-    method, R = p.get("method", "auto"), int(p.get("R", 4096))
+    method, R = p.get("method", "auto"), p.get("R", 4096)
     _check_lags(_autocov_method(model, method), K)
 
     def run(writer):
@@ -483,12 +518,12 @@ def _task_variance(cfg, model):
 
 def _task_blocks(cfg, model):
     p = cfg.params
-    layout = make_layout(int(p["n"]), int(p["m"]))
+    layout = make_layout(p["n"], p["m"])
     mode = block_mode(model, layout.m, p.get("mode", "auto"))
-    reps, K = int(p.get("replications", 1)), int(p.get("K", 256))
+    reps, K = p.get("replications", 1), p.get("K", 256)
     degeneracy_R = None
     if "degeneracy_R" in p:
-        degeneracy_R = int(p["degeneracy_R"])
+        degeneracy_R = p["degeneracy_R"]
         check_replications(degeneracy_R, "degeneracy_probability")
 
     def run(writer):
@@ -519,12 +554,11 @@ def _task_blocks(cfg, model):
 def _task_assumptions(cfg, model):
     p = cfg.params
     # constructing the spec enforces b > B(p)
-    spec = AssumptionSpec(p=float(p.get("p", 3.0)),
-                          a_exp=float(p.get("a", 1.0)),
-                          b_exp=float(p.get("b", 1.0)))
-    grid = [int(l) for l in
-            p.get("l_grid", [1, 2, 4, 8, 16, 32, 64, 128])]
+    spec = AssumptionSpec(p=p.get("p", 3.0), a_exp=p.get("a", 1.0),
+                          b_exp=p.get("b", 1.0))
+    grid = p.get("l_grid", [1, 2, 4, 8, 16, 32, 64, 128])
     check_assumption_grid(grid)
+    R = p.get("R", 20000)  # read on either route, so either accepts it
     linear = _autocov_method(model) == "exact-linear"
     if choose_route(p.get("mode", "monte-carlo"),
                     "closed-form" if linear else None,
@@ -532,14 +566,13 @@ def _task_assumptions(cfg, model):
         check_closed_form(spec.p)
         profile = lambda: profile_closed_form(model.scheme, grid, spec.p)
     else:
-        R = int(p.get("R", 20000))
         for l in grid:
             check_theta(model, l, spec.p, R)
         profile = lambda: dependence_profile(model, spec.p, grid, R,
                                              seed=cfg.seed)
 
     def run(writer):
-        doc = check_assumptions(profile(), spec).to_dict()
+        doc = asdict(check_assumptions(profile(), spec))
         writer.write_json(f"{cfg.name}-assumptions.json", doc)
         return doc
     return run
@@ -589,6 +622,15 @@ def _load_or_preset(target: str) -> ExperimentConfig:
     return load_config(target)
 
 
+# the error kind and exit code of a library error: its first class here
+_ERROR_EXITS = (
+    (ConfigError, "config", EXIT_PARSE),
+    (PreconditionError, "precondition", EXIT_PRECONDITION),
+    (DegenerateVarianceError, "degenerate-variance", EXIT_DEGENERATE),
+    (WeakdepError, "runtime", EXIT_RUNTIME),
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="weakdep",
@@ -628,28 +670,17 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.threads is not None:
-            _check_threads(args.threads)
-            cfg.threads = args.threads
+            cfg.threads = _check_threads(args.threads)
         manifest = run_config(cfg, out_dir=args.out)
         print(json.dumps({"exit": 0, "files": manifest["files"],
                           "config_digest": manifest["config_digest"]}))
         return EXIT_OK
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_PARSE
-    except PreconditionError as exc:
-        print(json.dumps({"error": "precondition", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_PRECONDITION
-    except DegenerateVarianceError as exc:
-        print(json.dumps({"error": "degenerate-variance",
-                          "message": str(exc)}), file=sys.stderr)
-        return EXIT_DEGENERATE
     except WeakdepError as exc:
-        print(json.dumps({"error": "runtime", "message": str(exc)}),
+        kind, code = next((kind, code) for cls, kind, code in _ERROR_EXITS
+                          if isinstance(exc, cls))
+        print(json.dumps({"error": kind, "message": str(exc)}),
               file=sys.stderr)
-        return EXIT_RUNTIME
+        return code
     except Exception as exc:  # pragma: no cover - last-resort guard
         print(json.dumps({"error": "runtime",
                           "message": f"{type(exc).__name__}: {exc}"}),

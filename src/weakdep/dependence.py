@@ -234,19 +234,6 @@ class AssumptionReport:
     unify_variant: float      # sum k^a sqrt(sum_{l>=k} theta'_l^2), tabulated
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "partial_sum_prime": self.partial_sum_prime,
-            "partial_sum_star": self.partial_sum_star,
-            "tail_exponent": self.tail_exponent,
-            "tail_ci": list(self.tail_ci),
-            "star_exponent": self.star_exponent,
-            "star_ci": list(self.star_ci),
-            "verdicts": dict(self.verdicts),
-            "unify_variant": self.unify_variant,
-            "notes": self.notes,
-        }
-
 
 def _tail_exponent_fit(lags, values):
     """OLS fit of log value on log lag over the last half of the grid."""

@@ -40,7 +40,7 @@ X_{k,m} = E[X_k | eps_k .. eps_{k-m+1}] where it has a closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -247,6 +247,8 @@ class GeometricScheme(CoefficientScheme):
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise PreconditionError("geometric ratio must lie in (0, 1)")
+        if self.length < 1:
+            raise PreconditionError("length must be >= 1")
 
     def _coefficients(self):
         return self.rho ** np.arange(self.length, dtype=np.float64)
@@ -761,11 +763,6 @@ class GLdWalkModel:
         if self.lambda_max < 0:
             raise PreconditionError("lambda_max must be >= 0")
 
-    @property
-    def law(self) -> InnovationLaw:
-        # matrix entries are built from uniforms internally
-        return get_law("centered-uniform")
-
     def log_gains(self, seed, replications, n, series=SERIES_BASE,
                   start=None):
         """The uncentered increments log||g_k y_{k-1}||, one array per step
@@ -826,11 +823,6 @@ class GLdWalkModel:
         return _by_chunks(reps, n * self.d, walk)
 
 
-# centering profiles, cached per (model, seed); dict ops are atomic under
-# the GIL and values are deterministic, so racing writes are harmless
-_GL_CENTER_CACHE: dict = {}
-
-
 def _gl2_exact_mean(model: GLdWalkModel) -> float:
     """Exact stationary mean for d = 2.
 
@@ -851,6 +843,7 @@ def _gl2_exact_mean(model: GLdWalkModel) -> float:
     return float(wq @ vals @ wq / 4.0)
 
 
+@cache
 def gl_center_profile(model: GLdWalkModel, seed) -> np.ndarray:
     """E X_k for k = 1..burn_in plus one pooled stationary value appended
     at the end.  For d = 2 the profile is exact: the first increment is
@@ -858,10 +851,6 @@ def gl_center_profile(model: GLdWalkModel, seed) -> np.ndarray:
     from the renewal argument in _gl2_exact_mean.  For d > 2 it is a
     Monte Carlo pre-pass from a reserved stream.  Cached per (model, seed).
     """
-    key = (model, int(seed))
-    cached = _GL_CENTER_CACHE.get(key)
-    if cached is not None:
-        return cached
     if model.d == 2:
         mu = np.full(model.burn_in + 1, _gl2_exact_mean(model))
         mu[0] = 0.0
@@ -872,7 +861,6 @@ def gl_center_profile(model: GLdWalkModel, seed) -> np.ndarray:
         mu[:-1] = [g.mean() for g in gains]
         mu[-1] = mu[model.burn_in // 2:model.burn_in].mean()
     mu.setflags(write=False)
-    _GL_CENTER_CACHE[key] = mu
     return mu
 
 

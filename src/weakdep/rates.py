@@ -55,8 +55,7 @@ def rate_route(model, n_grid, R: int, normalization: str,
 
 
 def run_rate_experiment(model, n_grid, R: int, normalization: str,
-                        seed: int = 0, delta_conf: float = 0.01,
-                        method: str = "auto",
+                        seed: int = 0, method: str = "auto",
                         threads: int = 1) -> list[BEEstimate]:
     """One BEEstimate per grid point on the route of ``rate_route``, with
     one denominator oracle.  Monte Carlo point i owns replications
@@ -67,7 +66,7 @@ def run_rate_experiment(model, n_grid, R: int, normalization: str,
     else:
         denom = _normalizer(model, normalization, seed)
         point = lambda i, n: _empirical(model, n, R, normalization, denom(n),
-                                        seed, i * R, delta_conf)
+                                        seed, i * R)
     grid = [int(n) for n in n_grid]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

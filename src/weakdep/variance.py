@@ -188,7 +188,7 @@ def autocovariance(model, K: int, method: str = "auto", R: int = 4096,
 @dataclass(frozen=True)
 class LongRunVariance:
     """ss^2 with its construction: series part and fitted tail
-    correction; for linear models the value is the exact (sum alpha_j)^2."""
+    correction; an exact-linear table gives the exact (sum alpha_j)^2."""
 
     value: float
     series: float
@@ -224,7 +224,7 @@ def longrun_variance(table: AutocovarianceTable) -> LongRunVariance:
     series = float(g[0] + 2.0 * g[1:].sum())
     tail, note = _fit_tail(g)
     exact = None
-    if _autocov_method(table.model) == "exact-linear":
+    if table.method == "exact-linear":
         total = table.model.scheme.total_sum()
         if np.isfinite(total):
             exact = float(total ** 2)
@@ -269,19 +269,14 @@ def sum_variance(model, n: int, seed: int = 0, R: int = 4096) -> float:
     return float(n * g[0] + 2.0 * np.dot(n - np.minimum(k, n), g[1:]))
 
 
-def model_longrun_variance(model, seed: int = 0, K: int | None = None,
-                           R: int = 4096) -> LongRunVariance:
-    """Convenience: build the natural table for the model and sum it."""
+def model_longrun_variance(model, seed: int = 0) -> LongRunVariance:
+    """ss^2 from the model's natural table: lags 0..48 by Monte Carlo over
+    4096 replications, 0..min(L, 256) exact-linear, 0..20 exact-doubling."""
     method = _autocov_method(model)
-    if method == "monte-carlo":
-        table = autocovariance(model, K=K or 48, method=method, R=R,
-                               seed=seed)
-    elif method == "exact-linear":
-        table = autocovariance(model, K=K or min(model.scheme.length, 256),
-                               method=method)
-    else:
-        table = autocovariance(model, K=K or 20, method=method)
-    return longrun_variance(table)
+    K = (48 if method == "monte-carlo" else 20 if method == "exact-doubling"
+         else min(model.scheme.length, 256))
+    return longrun_variance(autocovariance(model, K=K, method=method,
+                                           seed=seed))
 
 
 @dataclass(frozen=True)

@@ -348,6 +348,13 @@ ASSUMPTIONS_P2 = {"l_grid": list(range(1, 9)), "p": 2, "b": 0.6, "R": 1000}
      EXIT_PRECONDITION),
     ("assumptions", BASE["model"], {**ASSUMPTIONS_P2, "mode": "closedform"},
      EXIT_PRECONDITION),
+    # R is read on either assumptions route, so the closed form accepts it
+    ("assumptions", BASE["model"],
+     {"mode": "closed-form", "p": 2, "b": 0.6, "R": 1000}, EXIT_OK),
+    # a zero-length geometric scheme has no coefficient
+    ("variance", {**BASE["model"],
+                  "scheme": {"variant": "geometric", "rho": 0.5, "length": 0}},
+     {"K": 4, "n": 16, "m": 2}, EXIT_PRECONDITION),
 ], ids=["unknown-method", "unknown-normalization", "monte-carlo-R",
         "bedist-R", "closed-form-R-0", "depcoef-R", "assumptions-R",
         "blocks-degeneracy-R", "bedist-n-0", "variance-K-0", "variance-m-0",
@@ -358,7 +365,8 @@ ASSUMPTIONS_P2 = {"l_grid": list(range(1, 9)), "p": 2, "b": 0.6, "R": 1000}
         "scheme-alpha-not-a-number", "variance-K-not-a-number",
         "closed-form-assumptions-p-3", "closed-form-assumptions-p-2",
         "doubling-variance-default-K", "doubling-variance-K-25",
-        "closed-form-assumptions-doubling", "assumptions-mode-typo"])
+        "closed-form-assumptions-doubling", "assumptions-mode-typo",
+        "closed-form-assumptions-R", "geometric-length-0"])
 def test_validate_and_run_agree_on_rate_params(tmp_path, task, model, params,
                                                expected):
     path = _write(tmp_path, {**BASE, "model": model, "task": task,
@@ -386,12 +394,47 @@ def test_doubling_variance_lag_cap_boundary(tmp_path):
     {**BASE, "threads": True},
     {**BASE, "threads": "4"},
     {**BASE, "seed": True},
+    {**BASE, "params": {"K": 8, "n": 64.9, "m": 4}},
+    {**BASE, "params": {"K": "8", "n": 64, "m": 4}},
+    {**BASE, "params": {"K": 8, "n": 64, "m": 4, "R": 2000.5}},
+    {**BASE, "task": "rate", "params": {"n_grid": [64, 128, 256, 512.0],
+                                        "R": 1000}},
+    {**BASE, "task": "depcoef", "params": {"l_grid": [1, 2], "R": 1000,
+                                           "p": "2"}},
+    {**BASE, "model": {**BASE["model"], "scheme": {
+        "variant": "geometric", "rho": "0.5", "length": 32}}},
+    {**BASE, "model": {**BASE["model"], "scheme": {
+        "variant": "geometric", "rho": 0.5, "length": 32.0}}},
+    {**BASE, "name": "../escaped"},
+    {**BASE, "name": 7},
 ], ids=["threads-x", "threads-0", "threads-neg", "threads-float",
-        "threads-bool", "threads-str", "seed-bool"])
+        "threads-bool", "threads-str", "seed-bool", "n-float", "K-str",
+        "R-float", "n-grid-float", "p-str", "rho-str", "length-float",
+        "name-path", "name-int"])
 def test_validate_and_run_reject_non_integer_threads(tmp_path, doc):
     path = _write(tmp_path, doc)
     assert main(["validate", path]) == EXIT_PARSE
     assert main(["run", path, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("doc", [
+    {**BASE, "task": "rate",
+     "params": {"n_grid": RATE_GRID, "R": 1000, "normalisation": "sqrt-ESn2"},
+     "model": RADEMACHER},
+    {**BASE, "model": {**BASE["model"], "scheme": {
+        "variant": "geometric", "rho": 0.5, "lenght": 16}}},
+    {**BASE, "model": {**BASE["model"], "lwa": "rademacher"}},
+    {**BASE, "model": {**COS2PI, "law": "rademacher"}},
+    {**BASE, "task": "counterexample", "params": {"n_grid": RATE_GRID,
+                                                  "R": 1000}},
+], ids=["params-normalisation", "scheme-lenght", "model-lwa",
+        "doubling-law", "counterexample-R"])
+def test_validate_and_run_refuse_keys_nothing_reads(tmp_path, capsys, doc):
+    path = _write(tmp_path, doc)
+    assert main(["validate", path]) == EXIT_PARSE
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == EXIT_PARSE
+    assert "nothing reads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-5"])

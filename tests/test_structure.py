@@ -10,7 +10,8 @@ Delta_n grid runner in ``rates`` is the one place that maps a grid, with or
 without threads, and the command line reaches it and its checks through
 public names only.  ``errors.choose_route`` is the one route selector: no
 other module compares a value with ``"auto"``.  Starting the command line loads ``scipy.special``
-only; the heavier scipy subpackages load where they are called.
+only; the heavier scipy subpackages load where they are called.  Every
+optional parameter of a library function is set by some call.
 """
 
 import ast
@@ -164,3 +165,53 @@ def test_only_the_route_selector_compares_with_auto():
              if isinstance(node, ast.Compare)
              and any(map(_is_auto, [node.left, *node.comparators]))]
     assert sites == []
+
+
+
+def _sets(call: ast.Call, offset: int, index, arg: str) -> bool:
+    """Whether ``call`` sets parameter ``arg``, at positional ``index``
+    (None when keyword-only); ``offset`` counts a method's implicit self,
+    and ``*args`` or ``**kwargs`` in a call set every parameter."""
+    if any(k.arg in (arg, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or len(call.args) + offset > index)
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    """Each optional parameter of a library function is set by at least one
+    call in the library, the tests, the benchmark or the scripts: an option
+    that no caller sets is a constant.  Calls match by function name."""
+    root = SRC.parent.parent
+    calls: dict = {}
+    for path in [*root.glob("src/**/*.py"), *root.glob("tests/*.py"),
+                 *root.glob("perfbench/*.py"), *root.glob("scripts/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                calls.setdefault(name, []).append(
+                    (node, isinstance(f, ast.Attribute)))
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = [*fn.args.posonlyargs, *fn.args.args]
+            first = len(args) - len(fn.args.defaults)
+            optional = [(i, a.arg) for i, a in enumerate(args) if i >= first]
+            optional += [(None, a.arg) for a, d in
+                         zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                         if d is not None]
+            for index, arg in optional:
+                if not any(_sets(call, attribute and id(fn) in methods,
+                                 index, arg)
+                           for call, attribute in calls.get(fn.name, ())):
+                    unset.append(f"{path.name}:{fn.lineno} {fn.name}({arg})")
+    assert unset == []

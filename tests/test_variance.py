@@ -127,6 +127,17 @@ def test_longrun_power_law_matches_zeta():
     assert v == pytest.approx(float(zeta(1.3, 1)) ** 2, rel=1e-6)
 
 
+def test_longrun_of_monte_carlo_table_sums_the_table():
+    """A Monte Carlo table of a linear model gives ss^2 from its own lags,
+    not the scheme's closed form (1 / (1 - rho))^2 = 4."""
+    m = LinearModel(GeometricScheme(0.5, 32), get_law("rademacher"))
+    t = autocovariance(m, K=16, method="monte-carlo", R=4096, seed=3)
+    lrv = longrun_variance(t)
+    assert lrv.value == lrv.series + lrv.tail
+    assert lrv.value != 4.0
+    assert lrv.value == pytest.approx(4.0, rel=0.05)
+
+
 def test_longrun_difference_scheme_degenerate():
     m = LinearModel(DifferenceScheme(kind="power", beta=0.25, length=4096),
                     GAUSS)
