@@ -49,6 +49,13 @@ table reads 2049 replications of its 64-step products in a 1024-row
 block and a 1025-row one with the lone tail row.  Their digests were
 recorded when the pre-sample was hashed in one call of its own and each
 lag's products were one (replications x steps) matrix.
+
+The r2049 Monte Carlo tables of the d = 3 walk, the abs-center Hoelder
+model (paths from ``fftconvolve``) and the cos2pi doubling map span the
+same two row blocks, and the K = 48, R = 4096 GL_2 table is the one the
+gl2-rate benchmark's long-run variance reads.  Their digests were recorded
+when ``_mc_gamma`` built the whole (replications x steps) path matrix and
+the GL step kernel made fresh temporaries every step.
 """
 
 import hashlib
@@ -140,11 +147,20 @@ def _cases():
         "gl2-partial-sums-wide": lambda: partial_sums(GL2, 7, WIDE_REPS, 40),
         "gl-surrogate-k21-wide": lambda: np.array(
             theta_gl_surrogate(GL2, 21, 2.0, R=4096, seed=2)),
-        "gl2-autocov-mc-r2049": lambda: _table(autocovariance(
+        "gl2-autocov-mc-k48-r4096":
+        "32dc4b6f2c6aae5e428f3a111b1441f73ba603be21aa742c810e49c828c2fec6",
+    "gl2-autocov-mc-r2049": lambda: _table(autocovariance(
             GL2, K=4, method="monte-carlo", R=2049, seed=11)),
         "doubling-cos2pi-partial-sums-one-step-blocks": lambda: partial_sums(
             DoublingModel("cos2pi"), 7, ONE_STEP_REPS, 10),
+        "gl2-autocov-mc-k48-r4096": lambda: _table(autocovariance(
+            GL2, K=48, method="monte-carlo", R=4096, seed=11)),
     }
+    for name, model in (("gl3", GL3), ("holder-abs", HOLDER),
+                        ("doubling-cos2pi", DoublingModel("cos2pi"))):
+        cases[f"{name}-autocov-mc-r2049"] = (
+            lambda model=model: _table(autocovariance(
+                model, K=4, method="monte-carlo", R=2049, seed=11)))
     for tag, m in (("", DoublingModel("cos2pi")),
                    ("-m5", m_project(DoublingModel("cos2pi"), 5))):
         cases[f"doubling-cos2pi{tag}-partial-sums-r3000"] = (
@@ -230,6 +246,8 @@ PINNED = {
         "8478f61c256c74ff55ee19cdefd1ac01e744208ba8adf1f14d5880bc36a62ad0",
     "doubling-cos2pi-autocov-exact-k18":
         "085486c423adb22f4cec04f5da7aaa675e0ed41192f24301f74cb56dc19cec4b",
+    "doubling-cos2pi-autocov-mc-r2049":
+        "652bc8f2b009356cc7313f2baf52480655aec3c5a1a4cbd34cb519a97c547719",
     "doubling-cos2pi-m12-autocov-exact-k18":
         "5e6db944c8a77d7d3831f6191e0468e54ffeb445e42fbcf876ac46a9847c42b9",
     "doubling-cos2pi-m4-autocov-mc":
@@ -302,6 +320,8 @@ PINNED = {
         "b3dc35f911c504053e85618eb424b391788826375c28ad387b41fee60a26883f",
     "gl2-autocov-mc":
         "e9f5e038a8300e45fb6bbf05fa7ffa3390c8d54f0a11ccb8196006175d3095f0",
+    "gl2-autocov-mc-k48-r4096":
+        "32dc4b6f2c6aae5e428f3a111b1441f73ba603be21aa742c810e49c828c2fec6",
     "gl2-autocov-mc-r2049":
         "b8db8f71bbe8d858c4ee58faada666333c473e5a84e6489985a7f5661e7f8d62",
     "gl2-partial-sums":
@@ -310,10 +330,14 @@ PINNED = {
         "cc6798acf703e5e6dfdd53fe26e2ca6952a72ae3fe4666fe4238042fd5d3be39",
     "gl2-sample-path":
         "fe2e567ca117cdf9564f9a00cf3eb85c3124c9df016e4fec1f8786b5dbd0bdd6",
+    "gl3-autocov-mc-r2049":
+        "b3ec5fcf4c99188a6ee4c628ec3e816e7a55ec673e90b45c96458d1101249472",
     "gl3-partial-sums":
         "515afb59e5fe99711c007e8d0fe6a1f82b9489b2c67f5367c75197e95458a386",
     "gl3-sample-path":
         "7e99921f0e733e4ec45b3522cb4ad484b94f85535cce6078057ed2a413abfa46",
+    "holder-abs-autocov-mc-r2049":
+        "af2e9229b31508c2e1096be3ad7af26f2b56f1537374ddaf6038b242b2e5f6fd",
     "holder-abs-theta-depth64":
         "0683ed7f110977a4707c057d10005fc2ab3eff2f2751d41ac3e9a765e8eb2c1d",
     "holder-cos-theta-r2049-l1":
