@@ -17,8 +17,9 @@ that reads that task's params.  It reads them once, with their defaults,
 makes every check the task makes before computing, and returns
 ``run(writer) -> summary``.  ``validate`` is that function stopped
 before ``run``; ``run`` goes on.  Every config object is read through
-``_Reads``, which checks each numeric value's JSON type; a key it never
-read, or a ``name`` that is not a plain file name, is a config error.
+``_Reads``, which checks each typed value's JSON type; a key it never
+read, an empty ``name`` or one that is not a plain file name, and a
+``seed`` outside [0, 2**64) are config errors.
 """
 
 from __future__ import annotations
@@ -91,25 +92,27 @@ EXIT_DEGENERATE = 4
 # config parsing
 # ---------------------------------------------------------------------------
 
-# the JSON type of each numeric config key, wherever it appears: an
-# integer (int), any number (float), or a list of either
+# the JSON type of each typed config key, wherever it appears: an
+# integer (int), any number (float), a string (str), or a list of one
 _KINDS = {**dict.fromkeys("seed threads n R K m replications degeneracy_R "
                           "length d".split(), int),
           **dict.fromkeys("p a b rho beta c lambda_max".split(), float),
+          **dict.fromkeys("name task out_dir".split(), str),
           "n_grid": [int], "l_grid": [int], "alpha": [float]}
+_WHAT = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _typed(x, kind, name: str):
-    """``x`` as ``kind`` (see _KINDS) when JSON loaded it as one.  JSON
-    true and false load as bools, which Python counts as ints, so they are
-    neither."""
+    """``x`` as ``kind`` (see _KINDS) when JSON loaded it as one; a number
+    may be an integer.  JSON true and false load as bools, which Python
+    counts as ints, so they are neither."""
     if isinstance(kind, list):
         if not isinstance(x, list):
             raise ConfigError(f"{name} must be a list, got {x!r}")
         return [_typed(v, kind[0], name) for v in x]
-    if isinstance(x, bool) or not isinstance(x, (int, kind)):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {x!r}")
+    if isinstance(x, bool) or not isinstance(
+            x, (int, float) if kind is float else kind):
+        raise ConfigError(f"{name} must be {_WHAT[kind]}, got {x!r}")
     return kind(x)
 
 
@@ -183,6 +186,13 @@ def _check_threads(threads: int) -> int:
     return threads
 
 
+def _check_seed(seed: int) -> int:
+    # the hash keys a seed as one 64-bit word
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed!r}")
+    return seed
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -205,11 +215,12 @@ class ExperimentConfig:
                 f"task must be one of {tuple(_TASKS)}, got {task!r}")
         # the name prefixes every output file, inside the output directory
         name = doc["name"]
-        if not isinstance(name, str) or os.path.basename(name) != name:
+        if not name or os.path.basename(name) != name:
             raise ConfigError(f"name must be a plain file name, got {name!r}")
         cfg = doc.done(cls(
-            name=name, seed=doc["seed"], model_spec=doc["model"], task=task,
-            params=doc.get("params", {}), out_dir=doc.get("out_dir"),
+            name=name, seed=_check_seed(doc["seed"]), model_spec=doc["model"],
+            task=task, params=doc.get("params", {}),
+            out_dir=doc.get("out_dir"),
             threads=_check_threads(doc.get("threads", 1))))
         cfg.validate()
         return cfg
@@ -668,7 +679,7 @@ def main(argv=None) -> int:
         # run
         cfg = _load_or_preset(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _check_seed(args.seed)
         if args.threads is not None:
             cfg.threads = _check_threads(args.threads)
         manifest = run_config(cfg, out_dir=args.out)

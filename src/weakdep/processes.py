@@ -46,6 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
+from ._legendre200 import NODES, WEIGHTS
 from .errors import ModelMismatchError, PreconditionError
 from .innovations import (
     KEY_BLOCK,
@@ -768,47 +769,81 @@ class GLdWalkModel:
         """The uncentered increments log||g_k y_{k-1}||, one array per step
         k = 1..n (a generator of exactly n arrays).
 
-        (phi_k, lam_k) are keyed by (seed, replication, series, k) and
-        hashed for a block of steps at a time, on key prefixes derived
-        once per call and channel.
+        (phi_k, lam_k) are keyed by (seed, replication, series, k).  Each
+        block of steps is hashed into one reused word buffer per channel,
+        on key prefixes derived once per call and channel, and turned into
+        phi and lam there, in place.
         ``start`` holds unit start directions of shape
         (..., len(replications), d); leading axes are chains driven by the
         same matrices.  The default is the quenched start e1.
+
+        The direction is held one contiguous array per coordinate, and
+        each step writes into temporaries allocated once per call.  The
+        gain is yielded in one reused array, valid only until the next one
+        is drawn: a caller that keeps it copies it.
         """
         reps = np.asarray(replications)
         if start is None:
-            y = np.zeros((len(reps), self.d))
-            y[:, 0] = 1.0
+            y = np.zeros((self.d, len(reps)))
+            y[0] = 1.0
         else:
-            y = np.array(start, dtype=np.float64, order="C")
-        flat = y.reshape(-1, self.d)  # a view: y stays C-contiguous
-        p_phi = key_prefix(seed, reps, series, 0)
-        p_lam = key_prefix(seed, reps, series, 1)
-        for ks in _step_blocks(len(reps), n):
-            u_phi = (raw_words(seed, reps, series, ks[:, None], channel=0,
-                               prefix=p_phi) >> np.uint64(11)) * 2.0 ** -53
-            u_lam = (raw_words(seed, reps, series, ks[:, None], channel=1,
-                               prefix=p_lam) >> np.uint64(11)) * 2.0 ** -53
-            for phi_u, lam_u in zip(u_phi, u_lam):
-                phi = 2.0 * np.pi * phi_u
-                lam = self.lambda_max * (2.0 * lam_u - 1.0)
+            y = np.array(np.moveaxis(np.asarray(start, np.float64), -1, 0),
+                         order="C")
+        y0, y1 = y[0], y[1]
+        gain, t, u = np.empty((3, *y0.shape))
+        c, e = np.empty((2, len(reps)))
+        if self.d > 2:
+            # the other coordinates enter the norm through the row-major
+            # einsum of the (..., d) direction, which keeps its bits
+            rows = np.empty(y0.shape + (self.d,))
+            flat, flat_gain = rows.reshape(-1, self.d), gain.reshape(-1)
+        prefixes = [key_prefix(seed, reps, series, ch) for ch in (0, 1)]
+        blocks = list(_step_blocks(len(reps), n))
+        words = np.empty((2, max(map(len, blocks), default=0), len(reps)),
+                         dtype=np.uint64)
+        for ks in blocks:
+            for ch in (0, 1):
+                w = raw_words(seed, reps, series, ks[:, None], channel=ch,
+                              out=words[ch, :len(ks)], prefix=prefixes[ch])
+                w >>= np.uint64(11)
+                # row by row: numpy copies an operand that a cast writes
+                # over, so a whole-block cast would copy the block
+                for row in w:
+                    np.multiply(row, 2.0 ** -53, out=row.view(np.float64))
+            phi, lam = words[:, :len(ks)].view(np.float64)
+            phi *= 2.0 * np.pi
+            lam *= 2.0
+            lam -= 1.0
+            lam *= self.lambda_max
+            for phi_k, lam_k in zip(phi, lam):
+                np.cos(phi_k, out=c)
+                s = np.sin(phi_k, out=phi_k)
+                np.exp(lam_k, out=e)
                 # rotations preserve the norm, so the gain is ||D y||
-                y[..., 0] *= np.exp(lam)
-                y[..., 1] *= np.exp(-lam)
-                norm = np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(
-                    y.shape[:-1])
-                y /= norm[..., None]
-                c, s = np.cos(phi), np.sin(phi)
-                y0 = c * y[..., 0] - s * y[..., 1]
-                y1 = s * y[..., 0] + c * y[..., 1]
-                y[..., 0], y[..., 1] = y0, y1
-                yield np.log(norm)
+                y0 *= e
+                y1 *= np.exp(np.negative(lam_k, out=lam_k), out=lam_k)
+                if self.d > 2:
+                    np.copyto(rows, np.moveaxis(y, 0, -1))
+                    np.einsum("ij,ij->i", flat, flat, out=flat_gain)
+                else:
+                    np.multiply(y0, y0, out=gain)
+                    gain += np.multiply(y1, y1, out=t)
+                np.sqrt(gain, out=gain)
+                y /= gain
+                # (y0, y1) <- (c y0 - s y1, s y0 + c y1)
+                np.multiply(s, y1, out=t)
+                np.multiply(s, y0, out=u)
+                y0 *= c
+                y0 -= t
+                y1 *= c
+                y1 += u
+                yield np.log(gain, out=gain)
 
     def paths(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
         out = np.empty((len(reps), n))
         mu = _gl_centering(self, seed, n)
         for k, gain in enumerate(self.log_gains(seed, reps, n)):
-            out[:, k] = gain - mu[k]
+            np.subtract(gain, mu[k], out=out[:, k])
         return out
 
     def partial_sums(self, seed, reps: np.ndarray, n: int) -> np.ndarray:
@@ -830,17 +865,21 @@ def _gl2_exact_mean(model: GLdWalkModel) -> float:
     circle and independent of the past, so for k >= 2 the increment is
     log||D(lam) u|| with u uniform and lam independent:
     E X_k = E (1/2) log(e^{2 lam} cos^2 t + e^{-2 lam} sin^2 t),
-    a smooth two-dimensional integral done by Gauss-Legendre quadrature.
+    a smooth two-dimensional integral done by 200-node Gauss-Legendre
+    quadrature.  The rule is a table (``_legendre200``) that equals
+    ``scipy.special.roots_legendre(200)`` bit for bit, so no LAPACK runs
+    and ``scipy.linalg`` is never imported.  The one-dimensional closed
+    form through the dilogarithm Li_2 (ROADMAP, "GL_2 in closed form")
+    replaces the grid and the table in the next versioned release of the
+    artifacts, since it moves the mean's last bits.
     """
-    from scipy.special import roots_legendre
-    x, wq = roots_legendre(200)
-    lam = model.lambda_max * x                     # uniform on [-L, L]
-    t = 0.25 * np.pi * (x + 1.0)                   # uniform on [0, pi/2]
+    lam = model.lambda_max * NODES                 # uniform on [-L, L]
+    t = 0.25 * np.pi * (NODES + 1.0)               # uniform on [0, pi/2]
     c2 = np.cos(t) ** 2
     vals = 0.5 * np.log(np.exp(2.0 * lam)[:, None] * c2[None, :]
                         + np.exp(-2.0 * lam)[:, None]
                         * (1.0 - c2)[None, :])
-    return float(wq @ vals @ wq / 4.0)
+    return float(WEIGHTS @ vals @ WEIGHTS / 4.0)
 
 
 @cache

@@ -133,24 +133,24 @@ def _mc_gamma(model, K: int, R: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Lag-k products X_t X_{t+k}, t = 1..T, averaged per replication and
     then across R of them, with their standard errors.
 
-    Each lag's products and row means are taken in ``row_blocks`` of the
-    path matrix, in one reused block buffer; a row's mean does not depend
-    on the rows beside it, so the bits are those of the whole-matrix
-    product."""
+    The paths are built one ``row_blocks`` block of replications at a
+    time, never as one (R, T + K) matrix; each block's lag products go
+    through one reused buffer into a (K + 1, R) table of per-replication
+    means.  A path row and its mean do not depend on the rows beside it,
+    so the bits are those of the whole-matrix products."""
     T = max(2 * K, 64)
-    paths = model.paths(seed, _VAR_REP_OFFSET + np.arange(R), T + K)
     blocks = list(row_blocks(R, T))
     prods = np.empty((max(b - a for a, b in blocks), T))
-    per_rep = np.empty(R)
-    g = np.empty(K + 1)
-    se = np.empty(K + 1)
-    for k in range(K + 1):
-        for a, b in blocks:
+    per_rep = np.empty((K + 1, R))
+    for a, b in blocks:
+        paths = model.paths(seed, _VAR_REP_OFFSET + np.arange(a, b), T + K)
+        for k in range(K + 1):
             block = prods[:b - a]
-            np.multiply(paths[a:b, :T], paths[a:b, k:T + k], out=block)
-            block.mean(axis=1, out=per_rep[a:b])
-        g[k] = per_rep.mean()
-        se[k] = per_rep.std(ddof=1) / np.sqrt(R)
+            np.multiply(paths[:, :T], paths[:, k:T + k], out=block)
+            block.mean(axis=1, out=per_rep[k, a:b])
+        del paths  # freed before the next block's paths are built
+    g = np.array([row.mean() for row in per_rep])
+    se = np.array([row.std(ddof=1) for row in per_rep]) / np.sqrt(R)
     return g, se
 
 

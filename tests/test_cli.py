@@ -407,10 +407,19 @@ def test_doubling_variance_lag_cap_boundary(tmp_path):
         "variant": "geometric", "rho": 0.5, "length": 32.0}}},
     {**BASE, "name": "../escaped"},
     {**BASE, "name": 7},
+    {**BASE, "name": ""},
+    {**BASE, "out_dir": 5},
+    {**BASE, "task": ["variance"]},
+    {**BASE, "seed": 2 ** 70},
+    {**BASE, "seed": 2 ** 64},
+    {**BASE, "seed": -1},
+    {**BASE, "task": "depcoef", "seed": -1,
+     "params": {"l_grid": [1, 2], "R": 1000}},
 ], ids=["threads-x", "threads-0", "threads-neg", "threads-float",
         "threads-bool", "threads-str", "seed-bool", "n-float", "K-str",
         "R-float", "n-grid-float", "p-str", "rho-str", "length-float",
-        "name-path", "name-int"])
+        "name-path", "name-int", "name-empty", "out-dir-int", "task-list",
+        "seed-2-70", "seed-2-64", "seed-neg", "depcoef-seed-neg"])
 def test_validate_and_run_reject_non_integer_threads(tmp_path, doc):
     path = _write(tmp_path, doc)
     assert main(["validate", path]) == EXIT_PARSE
@@ -443,6 +452,21 @@ def test_run_rejects_threads_flag_below_one(tmp_path, threads):
     assert main(["run", _write(tmp_path, BASE), "--out", str(out),
                  "--threads", threads]) == EXIT_PARSE
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
+def test_run_rejects_seed_flag_outside_64_bits(tmp_path, seed):
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, BASE), "--out", str(out),
+                 "--seed", seed]) == EXIT_PARSE
+    assert not out.exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    doc = {**BASE, "seed": 2 ** 64 - 1}
+    assert main(["validate", _write(tmp_path, doc)]) == EXIT_OK
+    assert main(["run", _write(tmp_path, BASE), "--out",
+                 str(tmp_path / "o"), "--seed", str(2 ** 64 - 1)]) == EXIT_OK
 
 
 def _usual_validate_cases():

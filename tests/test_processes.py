@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from coupling_reference import InnovationWindow, draw_window, evaluate
+from scipy.special import roots_legendre
 from scipy.stats import ks_2samp
 
 import weakdep
 from weakdep import innovations, processes
+from weakdep._legendre200 import NODES, WEIGHTS
 from weakdep.dependence import theta_gl_surrogate
 from weakdep.errors import ModelMismatchError, PreconditionError
 from weakdep.innovations import (
@@ -223,6 +225,14 @@ def test_gl_walk_path_finite_and_deterministic():
     b = sample_path(m, 5, 0, 20)
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
+
+
+def test_gl2_quadrature_table_is_roots_legendre():
+    # the table's literals were written from roots_legendre, and its
+    # mirrored halves must still give the rule bit for bit
+    x, w = roots_legendre(200)
+    assert NODES.tobytes() == x.tobytes()
+    assert WEIGHTS.tobytes() == w.tobytes()
 
 
 def test_gl_walk_centering_near_zero_mean():

@@ -10,7 +10,8 @@ Delta_n grid runner in ``rates`` is the one place that maps a grid, with or
 without threads, and the command line reaches it and its checks through
 public names only.  ``errors.choose_route`` is the one route selector: no
 other module compares a value with ``"auto"``.  Starting the command line loads ``scipy.special``
-only; the heavier scipy subpackages load where they are called.  Every
+only; the heavier scipy subpackages load where they are called, and the
+GL_2 centering's quadrature rule is a table, so it loads none.  Every
 optional parameter of a library function is set by some call.
 """
 
@@ -133,15 +134,17 @@ def test_only_rates_names_a_thread_pool():
 
 
 def test_cli_start_loads_no_heavy_scipy_subpackage():
-    """Importing the command line and validating every preset leaves the
-    heavy scipy subpackages unloaded."""
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.signal",
-             "scipy.stats")
+    """Importing the command line, validating every preset and computing
+    the exact GL_2 centering leave the heavy scipy subpackages unloaded."""
+    heavy = ("scipy.integrate", "scipy.linalg", "scipy.optimize",
+             "scipy.signal", "scipy.stats")
     script = f"""
 import sys
 from weakdep.cli import PRESETS, ExperimentConfig
+from weakdep.processes import GLdWalkModel, gl_center_profile
 for doc in PRESETS.values():
     ExperimentConfig.from_dict(doc)
+gl_center_profile(GLdWalkModel(d=2), 0)
 print(sorted(set({heavy!r}) & set(sys.modules)))
 """
     path = os.pathsep.join(filter(None, [str(SRC.parent),

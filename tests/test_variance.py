@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -17,6 +19,7 @@ from weakdep.processes import (
     HolderOfLinearModel,
     LinearModel,
     PowerLawScheme,
+    gl_center_profile,
     identity_scheme,
 )
 from weakdep.variance import (
@@ -109,6 +112,20 @@ def test_monte_carlo_autocov_equals_whole_matrix_products(model, K):
     t = autocovariance(model, K=K, method="monte-carlo", R=R, seed=seed)
     assert t.gamma.tobytes() == gamma.tobytes()
     assert t.stderr.tobytes() == stderr.tobytes()
+
+
+def test_gl2_monte_carlo_autocov_builds_no_path_matrix():
+    # the cached exact centering is computed first, so only the table's
+    # own memory is measured
+    gl_center_profile(GLdWalkModel(d=2), 0)
+    tracemalloc.start()
+    try:
+        autocovariance(GLdWalkModel(d=2), K=48, method="monte-carlo", R=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (R, T + K) = (4096, 144) path matrix alone would take 4.7 MB
+    assert peak < 4096 * 144 * 8
 
 
 # --------------------------------------------------------------------------
