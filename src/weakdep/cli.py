@@ -100,6 +100,8 @@ _KINDS = {**dict.fromkeys("seed threads n R K m replications degeneracy_R "
           **dict.fromkeys("name task out_dir".split(), str),
           "n_grid": [int], "l_grid": [int], "alpha": [float]}
 _WHAT = {int: "an integer", float: "a number", str: "a string"}
+# typed keys whose JSON null stands for their default
+_NULLABLE = {"out_dir"}
 
 
 def _typed(x, kind, name: str):
@@ -130,7 +132,9 @@ class _Reads(UserDict):
     def __getitem__(self, key):
         self.read.add(key)
         value = self.data[key]
-        return _typed(value, _KINDS[key], key) if key in _KINDS else value
+        if key not in _KINDS or value is None and key in _NULLABLE:
+            return value
+        return _typed(value, _KINDS[key], key)
 
     def done(self, result):
         """``result``, once every key has been read."""

@@ -792,11 +792,10 @@ class GLdWalkModel:
         y0, y1 = y[0], y[1]
         gain, t, u = np.empty((3, *y0.shape))
         c, e = np.empty((2, len(reps)))
-        if self.d > 2:
-            # the other coordinates enter the norm through the row-major
-            # einsum of the (..., d) direction, which keeps its bits
-            rows = np.empty(y0.shape + (self.d,))
-            flat, flat_gain = rows.reshape(-1, self.d), gain.reshape(-1)
+        # the norm is the row-major einsum of the (..., d) direction,
+        # which keeps its bits
+        rows = np.empty(y0.shape + (self.d,))
+        flat, flat_gain = rows.reshape(-1, self.d), gain.reshape(-1)
         prefixes = [key_prefix(seed, reps, series, ch) for ch in (0, 1)]
         blocks = list(_step_blocks(len(reps), n))
         words = np.empty((2, max(map(len, blocks), default=0), len(reps)),
@@ -822,12 +821,8 @@ class GLdWalkModel:
                 # rotations preserve the norm, so the gain is ||D y||
                 y0 *= e
                 y1 *= np.exp(np.negative(lam_k, out=lam_k), out=lam_k)
-                if self.d > 2:
-                    np.copyto(rows, np.moveaxis(y, 0, -1))
-                    np.einsum("ij,ij->i", flat, flat, out=flat_gain)
-                else:
-                    np.multiply(y0, y0, out=gain)
-                    gain += np.multiply(y1, y1, out=t)
+                np.copyto(rows, np.moveaxis(y, 0, -1))
+                np.einsum("ij,ij->i", flat, flat, out=flat_gain)
                 np.sqrt(gain, out=gain)
                 y /= gain
                 # (y0, y1) <- (c y0 - s y1, s y0 + c y1)
@@ -868,10 +863,11 @@ def _gl2_exact_mean(model: GLdWalkModel) -> float:
     a smooth two-dimensional integral done by 200-node Gauss-Legendre
     quadrature.  The rule is a table (``_legendre200``) that equals
     ``scipy.special.roots_legendre(200)`` bit for bit, so no LAPACK runs
-    and ``scipy.linalg`` is never imported.  The one-dimensional closed
-    form through the dilogarithm Li_2 (ROADMAP, "GL_2 in closed form")
-    replaces the grid and the table in the next versioned release of the
-    artifacts, since it moves the mean's last bits.
+    and the centering does not import ``scipy.linalg``.  The
+    one-dimensional closed form through the dilogarithm Li_2 (ROADMAP,
+    "GL_2 in closed form") replaces the grid and the table in the next
+    versioned release of the artifacts, since it moves the mean's last
+    bits.
     """
     lam = model.lambda_max * NODES                 # uniform on [-L, L]
     t = 0.25 * np.pi * (NODES + 1.0)               # uniform on [0, pi/2]

@@ -426,6 +426,14 @@ def test_validate_and_run_reject_non_integer_threads(tmp_path, doc):
     assert main(["run", path, "--out", str(tmp_path / "o")]) == EXIT_PARSE
 
 
+def test_null_out_dir_keeps_the_default(tmp_path, monkeypatch):
+    path = _write(tmp_path, {**BASE, "out_dir": None})
+    monkeypatch.setenv("WEAKDEP_OUT", str(tmp_path / "o"))
+    assert main(["validate", path]) == EXIT_OK
+    assert main(["run", path]) == EXIT_OK
+    assert (tmp_path / "o" / "t-manifest.json").exists()
+
+
 @pytest.mark.parametrize("doc", [
     {**BASE, "task": "rate",
      "params": {"n_grid": RATE_GRID, "R": 1000, "normalisation": "sqrt-ESn2"},

@@ -147,9 +147,7 @@ def _cases():
         "gl2-partial-sums-wide": lambda: partial_sums(GL2, 7, WIDE_REPS, 40),
         "gl-surrogate-k21-wide": lambda: np.array(
             theta_gl_surrogate(GL2, 21, 2.0, R=4096, seed=2)),
-        "gl2-autocov-mc-k48-r4096":
-        "32dc4b6f2c6aae5e428f3a111b1441f73ba603be21aa742c810e49c828c2fec6",
-    "gl2-autocov-mc-r2049": lambda: _table(autocovariance(
+        "gl2-autocov-mc-r2049": lambda: _table(autocovariance(
             GL2, K=4, method="monte-carlo", R=2049, seed=11)),
         "doubling-cos2pi-partial-sums-one-step-blocks": lambda: partial_sums(
             DoublingModel("cos2pi"), 7, ONE_STEP_REPS, 10),
