@@ -113,19 +113,24 @@ def theta_mc(model, l: int, p: float, R: int, seed: int = 0,
     ones, so the difference isolates the dependence on lag l.
 
     The windows are hashed, coupled and evaluated one ``row_blocks`` block
-    of replications at a time, in one buffer: the base window, then the
-    primed one (column l from the primed series), then the starred one
-    (columns l on).  No (R, depth) matrix is built, and a linear readout's
-    gemv keeps the bits of the whole window matrix's product."""
+    of replications at a time, in one window buffer allocated per call:
+    the base window, then the primed one (column l from the primed
+    series), then the starred one (columns l on); the primed tail has a
+    reused buffer of its own.  No (R, depth) matrix is built, and a linear
+    readout's gemv keeps the bits of the whole window matrix's product."""
     depth = check_theta(model, l, p, R)
     reps = rep_start + np.arange(R)
     times = l - np.arange(depth)  # window anchored at k = l
     x, x_prime, x_star = (np.empty(R) for _ in range(3))
-    for a, b in row_blocks(R, depth):
+    blocks = list(row_blocks(R, depth))
+    height = max(b - a for a, b in blocks)
+    windows, tails = np.empty((height, depth)), np.empty((height, depth - l))
+    for a, b in blocks:
         block = reps[a:b, None]
-        window = law_values(model.law, seed, block, SERIES_BASE, times)
+        window = law_values(model.law, seed, block, SERIES_BASE, times,
+                            out=windows[:b - a])
         prime_tail = law_values(model.law, seed, block, SERIES_PRIME,
-                                times[l:])
+                                times[l:], out=tails[:b - a])
         x[a:b] = model.evaluate_values(window)
         window[:, l] = prime_tail[:, 0]
         x_prime[a:b] = model.evaluate_values(window)

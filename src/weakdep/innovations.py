@@ -12,12 +12,15 @@ centering pre-passes and nested Monte Carlo.  ``channel`` separates
 multiple draws needed at the same time index (e.g. rotation angle and
 log-gain of a matrix increment).
 
-``law_values`` allocates its result once and fills it in row slices of
-at most ``KEY_BLOCK`` keys (one row per slice if a row alone is wider):
-each slice's words are hashed into the ``uint64`` view of the result and
-transformed into values there, in place, so the temporaries stay
-cache-sized however large the request.  A word depends on its key alone,
-so blocked values are bit-identical to a one-shot hash of the same keys.
+``law_values`` allocates its result once (or fills a given ``out``) in
+row slices of at most ``KEY_BLOCK`` keys (one row per slice if a row
+alone is wider): each slice's words are hashed into the ``uint64`` view
+of the result and transformed into values there, in place, so the
+temporaries stay cache-sized however large the request.  The hash's
+xorshifts shift into one scratch block per thread, so a block of up to
+``KEY_BLOCK`` keys is hashed without a block-sized temporary.  A word
+depends on its key alone, so blocked values are bit-identical to a
+one-shot hash of the same keys.
 
 A word is the splitmix64 finalizer of ``state ^ time * GAMMA``, where
 ``state`` is hashed from (seed, replication, series, channel).  The
@@ -39,11 +42,11 @@ per block, with the bits of the plain call.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 from .errors import PreconditionError
 
@@ -131,6 +134,28 @@ def time_row(times) -> np.ndarray:
         return _premix(_as_u64(times) * _GAMMA)
 
 
+# one scratch block per thread for the shifted words of ``_xorshift``
+_SCRATCH = threading.local()
+
+
+def _xorshift(z, shift):
+    """``z ^= z >> shift`` in place on a uint64 array; returns ``z`` (a
+    numpy scalar is rebound instead).
+
+    ``z >> shift`` goes into this thread's scratch block of ``KEY_BLOCK``
+    words, allocated on the thread's first call and reused after, so
+    hashing a block makes no block-sized temporary.  An array larger than
+    the block makes one, as the plain expression does."""
+    if np.ndim(z) == 0 or z.size > KEY_BLOCK:
+        z ^= z >> shift
+        return z
+    scratch = getattr(_SCRATCH, "words", None)
+    if scratch is None:
+        scratch = _SCRATCH.words = np.empty(KEY_BLOCK, dtype=np.uint64)
+    z ^= np.right_shift(z, shift, out=scratch[:z.size].reshape(z.shape))
+    return z
+
+
 def raw_words(seed, replication, series, times, channel=0, out=None,
               sign_only=False, prefix=None, premixed_times=None):
     """Raw 64-bit words for the given key(s).
@@ -159,10 +184,10 @@ def raw_words(seed, replication, series, times, channel=0, out=None,
             premixed_times = _premix(_as_u64(times) * _GAMMA)
         z = np.bitwise_xor(prefix, premixed_times, out=out)
         z *= _M1
-        z ^= z >> _S27
+        z = _xorshift(z, _S27)
         z *= _M2
         if not sign_only:
-            z ^= z >> _S31
+            z = _xorshift(z, _S31)
         return z
 
 
@@ -179,8 +204,21 @@ _SIGN = np.uint64(1 << 63)
 _ONE = np.float64(1.0).view(np.uint64)  # the bit pattern of 1.0
 
 
+def _special():
+    """``scipy.special``, imported on first use: of the laws, only the
+    Gaussian needs it (``ndtri``, ``gammaln``), and the import costs about
+    a quarter second and 25 MB."""
+    import scipy.special
+    return scipy.special
+
+
 def _gaussian(words, out):
-    ndtri(uniform01(words, out), out=out)
+    _special().ndtri(uniform01(words, out), out=out)
+
+
+def _gaussian_abs_moment(p):
+    return float(np.exp(0.5 * p * np.log(2.0) + _special().gammaln(
+        (p + 1) / 2.0) - 0.5 * np.log(np.pi)))
 
 
 def _rademacher(words, out):
@@ -206,18 +244,17 @@ class _Law(NamedTuple):
     abs_moment: Callable      # p -> E |eps|^p
     central_moment: Callable  # integer k -> E (eps - E eps)^k
     sign_only: bool           # sample reads only bit 63 of each word
+    load: Callable = lambda: None  # imports what sample needs
 
 
 # one row per law; every moment is analytic
 _LAWS = {
     "standard-gaussian": _Law(
         sample=_gaussian,
-        abs_moment=lambda p: float(np.exp(
-            0.5 * p * np.log(2.0) + gammaln((p + 1) / 2.0)
-            - 0.5 * np.log(np.pi))),
+        abs_moment=_gaussian_abs_moment,
         central_moment=lambda k: 0.0 if k % 2 else (
             float(np.prod(np.arange(1, k, 2, dtype=float))) if k else 1.0),
-        sign_only=False),
+        sign_only=False, load=_special),
     "rademacher": _Law(
         sample=_rademacher,
         abs_moment=lambda p: 1.0,
@@ -268,18 +305,25 @@ LAWS = {kind: InnovationLaw(kind) for kind in _LAWS}
 
 
 def get_law(kind) -> InnovationLaw:
+    """The law named ``kind`` (or ``kind`` itself), with what its transform
+    imports loaded: a model's law is resolved while it is built, so the
+    import is paid there, not in its first hash."""
     if isinstance(kind, InnovationLaw):
         return kind
     try:
-        return LAWS[kind]
+        law = LAWS[kind]
     except KeyError:
         raise PreconditionError(
             f"unknown law {kind!r}; available: {sorted(LAWS)}") from None
+    _LAWS[kind].load()
+    return law
 
 
 def law_values(law, seed, replication, series, times, channel=0,
-               prefix=None, premixed_times=None) -> np.ndarray:
+               prefix=None, premixed_times=None, out=None) -> np.ndarray:
     """Innovation values for the given key(s); broadcasts like raw_words.
+    ``out``, a C-contiguous float64 array of the broadcast shape, receives
+    them if given, so a caller that draws many blocks reuses one buffer.
 
     A key block larger than ``KEY_BLOCK`` is taken in row slices along its
     first axis.  Each slice's words are hashed into the ``uint64`` view of
@@ -292,7 +336,8 @@ def law_values(law, seed, replication, series, times, channel=0,
     keys = [np.asarray(k) for k in (seed, replication, series, times,
                                     channel)]
     shape = np.broadcast_shapes(*(k.shape for k in keys))
-    out = np.empty(shape)
+    if out is None:
+        out = np.empty(shape)
     bits = out.view(np.uint64)
     if math.prod(shape) <= KEY_BLOCK:
         sample(raw_words(*keys, out=bits, sign_only=sign_only, prefix=prefix,

@@ -44,8 +44,8 @@ from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
+from ._cephes import hurwitz_zeta
 from ._legendre200 import NODES, WEIGHTS
 from .errors import ModelMismatchError, PreconditionError
 from .innovations import (
@@ -203,10 +203,10 @@ class PowerLawScheme(CoefficientScheme):
     def total_sum(self) -> float:
         if self.a <= 1.0:
             return float("inf")
-        return float(hurwitz_zeta(self.a, 1))
+        return hurwitz_zeta(self.a, 1)
 
     def beyond_length_sumsq(self) -> float:
-        return float(hurwitz_zeta(2.0 * self.a, self.length))
+        return hurwitz_zeta(2.0 * self.a, self.length)
 
     def sum_variance(self, n: int) -> float:
         """E S_n^2 for the *untruncated* sequence: present part
@@ -332,17 +332,21 @@ def row_blocks(n_rows: int, row_len: int):
 def _weighted_sums(law, seed, reps: np.ndarray, series, times: np.ndarray,
                    w: np.ndarray, channel=0) -> np.ndarray:
     """``law_values(law, seed, reps[:, None], series, times) @ w`` without
-    the law matrix: its rows are hashed and reduced in ``row_blocks``.
+    the law matrix: its rows are hashed and reduced in ``row_blocks``,
+    each block into one buffer allocated per call.
 
     The premixed time row is derived once, and the key prefix once per
     window of whole blocks and at most ``KEY_BLOCK // 8`` replications
     (a larger block is a window of its own), so its column stays small."""
     height = _block_height(len(times))
     window = height * max(1, KEY_BLOCK // (8 * height))
+    blocks = list(row_blocks(len(reps), len(times)))
+    # per call, not per module: the rate runner maps grid points on threads
+    buf = np.empty((max(b - a for a, b in blocks), len(times)))
     out = np.empty(len(reps))
     t = time_row(times)
     lo = hi = 0
-    for a, b in row_blocks(len(reps), len(times)):
+    for a, b in blocks:
         if b > hi:
             lo, hi = a, min(a + window, len(reps))
             if len(reps) - hi == 1:  # the folded tail row
@@ -350,7 +354,7 @@ def _weighted_sums(law, seed, reps: np.ndarray, series, times: np.ndarray,
             prefix = key_prefix(seed, reps[lo:hi, None], series, channel)
         block = law_values(law, seed, reps[a:b, None], series, times,
                            channel=channel, prefix=prefix[a - lo:b - lo],
-                           premixed_times=t)
+                           premixed_times=t, out=buf[:b - a])
         np.matmul(block, w, out=out[a:b])
     return out
 

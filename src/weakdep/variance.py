@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
+from ._cephes import hurwitz_zeta
 from .errors import (
     DegenerateVarianceError,
     InternalConsistencyError,
@@ -136,10 +136,15 @@ def _mc_gamma(model, K: int, R: int, seed) -> tuple[np.ndarray, np.ndarray]:
     The paths are built one ``row_blocks`` block of replications at a
     time, never as one (R, T + K) matrix; each block's lag products go
     through one reused buffer into a (K + 1, R) table of per-replication
-    means.  A path row and its mean do not depend on the rows beside it,
-    so the bits are those of the whole-matrix products."""
+    means.  A linear filter's paths hash a (rows, T + K + L - 1) law
+    matrix, so its blocks are sized by that row and a long scheme's matrix
+    stays near ``KEY_BLOCK`` keys; the other models' blocks are sized by
+    the T lag products.  A path row and its mean do not depend on the
+    rows beside it, so the bits are those of the whole-matrix products."""
     T = max(2 * K, 64)
-    blocks = list(row_blocks(R, T))
+    scheme = getattr(model, "scheme", None)
+    width = T if scheme is None else T + K + scheme.length - 1
+    blocks = list(row_blocks(R, width))
     prods = np.empty((max(b - a for a, b in blocks), T))
     per_rep = np.empty((K + 1, R))
     for a, b in blocks:
@@ -212,7 +217,7 @@ def _fit_tail(gamma: np.ndarray) -> tuple[float, str]:
     if slope >= -1.0:
         return 0.0, (f"tail-fit: decay exponent {slope:.2f} >= -1, "
                      "tail not summable by fit; no correction")
-    tail = 2.0 * np.exp(logc) * float(hurwitz_zeta(-slope, K + 1))
+    tail = 2.0 * np.exp(logc) * hurwitz_zeta(-slope, K + 1)
     return float(tail), f"tail-fit: exponent {slope:.2f}"
 
 

@@ -9,6 +9,7 @@ from coupling_reference import (
     starred_window,
 )
 
+from weakdep import dependence, innovations
 from weakdep.dependence import (
     AssumptionSpec,
     boundary_B,
@@ -116,6 +117,22 @@ def test_theta_mc_builds_no_window_matrix(model, l):
     # the base window alone would take 10 MB at depth 64 and 65 MB at
     # depth 404
     assert peak < 4 * 2**20
+
+
+def test_theta_mc_hashes_every_block_into_two_buffers(monkeypatch):
+    buffers = []
+
+    def recorded(*args, out=None, **kwargs):
+        buffers.append(out.__array_interface__["data"][0])
+        return innovations.law_values(*args, out=out, **kwargs)
+    model = HolderOfLinearModel(GeometricScheme(0.5, 64), GAUSS)
+    expected = theta_mc(model, 1, 2.0, R=20_000, seed=4)
+    monkeypatch.setattr(dependence, "law_values", recorded)
+    assert theta_mc(model, 1, 2.0, R=20_000, seed=4) == expected
+    # 20 blocks of 1024 rows (the last of 544), each hashing its window
+    # and its primed tail, into one window buffer and one tail buffer
+    assert len(buffers) == 40 and len(set(buffers)) == 2
+    assert len(set(buffers[::2])) == len(set(buffers[1::2])) == 1
 
 
 def test_theta_mc_preconditions():
@@ -249,8 +266,6 @@ def test_mc_profile_triangle_within_noise():
 def test_bootstrap_se_matches_one_shot_resampling(R):
     """The row-blocked bootstrap draws and reduces the same resamples as
     one (200, R) index matrix, R = 65537 being odd and above KEY_BLOCK."""
-    from weakdep import dependence
-
     powers = np.abs(np.random.default_rng(R).standard_normal(R)) ** 3
     for p in (2.0, 3.0):
         rng = np.random.default_rng(R + 7)

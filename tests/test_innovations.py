@@ -355,3 +355,43 @@ def test_sign_only_words_keep_bit_63():
     assert np.array_equal(full >> np.uint64(63), short >> np.uint64(63))
     low = np.uint64((1 << 63) - 1)
     assert np.all(full & low != short & low)
+
+
+@pytest.mark.parametrize("kind", sorted(LAWS))
+def test_law_values_fill_a_given_out(kind):
+    # one slice and many: 3 x 40 keys, and 301 rows of 4609 keys
+    for reps, times in ((np.arange(3)[:, None], np.arange(40)),
+                        (np.arange(301)[:, None], np.arange(4609))):
+        out = np.empty(np.broadcast_shapes(reps.shape, times.shape))
+        got = law_values(kind, 11, reps, SERIES_BASE, times, out=out)
+        assert got is out
+        plain = law_values(kind, 11, reps, SERIES_BASE, times)
+        assert np.array_equal(out.view(np.uint64), plain.view(np.uint64))
+
+
+def test_raw_words_into_out_make_no_block_sized_temporary():
+    # the GL_2 Monte Carlo table's step block: 96 steps of 680 replications
+    reps, times = np.arange(680), np.arange(1, 97)[:, None]
+    prefix = key_prefix(1, reps, SERIES_BASE)
+    expected = raw_words(1, reps, SERIES_BASE, times)
+    tracemalloc.start()
+    try:
+        out = np.empty((96, 680), dtype=np.uint64)
+        raw_words(1, reps, SERIES_BASE, times, out=out, prefix=prefix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, expected)
+    # beyond out, only numpy's ufunc buffers of the joining xor, one of at
+    # most 8192 words for each broadcast key part; the xorshifts write into
+    # the thread's scratch block, which the call above allocated
+    assert peak < out.nbytes + 2 * 64 * 1024 + 4096
+
+
+def test_raw_words_beyond_the_scratch_block_equal_split_calls():
+    times = np.arange(KEY_BLOCK + 5)
+    for sign_only in (False, True):
+        whole = raw_words(3, 2, SERIES_BASE, times, sign_only=sign_only)
+        parts = [raw_words(3, 2, SERIES_BASE, t, sign_only=sign_only)
+                 for t in (times[:KEY_BLOCK], times[KEY_BLOCK:])]
+        assert np.array_equal(whole, np.concatenate(parts))

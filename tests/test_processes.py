@@ -36,6 +36,7 @@ from weakdep.processes import (
     sample_path,
     truncation_error,
 )
+from weakdep.variance import autocovariance
 
 GAUSS = get_law("standard-gaussian")
 
@@ -410,6 +411,17 @@ def test_gl_surrogate_hashes_exactly_k_steps(hash_calls):
     assert len(hash_calls) == 2 * _block_count(k, R)
 
 
+def test_gl_mc_table_blocks_are_sized_by_the_lag_products(hash_calls):
+    # the gl2-rate table: T = 96 lag products over 144 steps; only a
+    # linear filter's blocks are sized by its law matrix row
+    autocovariance(GLdWalkModel(d=2), K=48, method="monte-carlo", R=4096,
+                   seed=11)
+    blocks = list(row_blocks(4096, 96))
+    assert [b - a for a, b in blocks] == [680] * 6 + [16]
+    assert len(hash_calls) == 2 * sum(_block_count(144, b - a)
+                                      for a, b in blocks) == 26
+
+
 def test_linear_sums_derive_key_prefix_once_per_window(monkeypatch):
     words, states = [], []
     stream_state = innovations._stream_state
@@ -444,6 +456,22 @@ def test_linear_sums_derive_key_prefix_once_per_window(monkeypatch):
     # here one per chunk, not one per block
     assert len(states) == sum(-(-rows // (KEY_BLOCK // 8))
                               for rows in _chunks(R, T)) == 3
+
+
+def test_linear_sums_hash_every_block_into_one_buffer(monkeypatch):
+    buffers = []
+
+    def recorded(*args, out=None, **kwargs):
+        buffers.append(out.__array_interface__["data"][0])
+        return law_values(*args, out=out, **kwargs)
+    monkeypatch.setattr(processes, "law_values", recorded)
+    model = LinearModel(DifferenceScheme("power", 0.25, 4096),
+                        get_law("rademacher"))
+    got = partial_sums(model, 0, np.arange(300), 64)
+    monkeypatch.undo()
+    assert np.array_equal(got, partial_sums(model, 0, np.arange(300), 64))
+    # 38 blocks of 8 rows (the last of 4 rows), all in one buffer
+    assert len(buffers) == 38 and len(set(buffers)) == 1
 
 
 _BLAS_SUM = """

@@ -9,10 +9,14 @@ construction: the scalar window reference lives in the tests.  The
 Delta_n grid runner in ``rates`` is the one place that maps a grid, with or
 without threads, and the command line reaches it and its checks through
 public names only.  ``errors.choose_route`` is the one route selector: no
-other module compares a value with ``"auto"``.  Starting the command line loads ``scipy.special``
-only; the heavier scipy subpackages load where they are called, and the
-GL_2 centering's quadrature rule is a table, so it loads none.  Every
-optional parameter of a library function is set by some call.
+other module compares a value with ``"auto"``.  Starting the command line
+loads no scipy module: Phi and the Hurwitz zeta function are ports
+(``weakdep._cephes``), so a rate run of the doubling map, the GL_2 walk or
+a non-Gaussian linear model loads none at all; the Gaussian law loads
+``scipy.special`` when its model is built, the heavier scipy subpackages
+load where they are called, and the GL_2 centering's quadrature rule is a
+table.  Every optional parameter of a library function is set by some
+call.
 """
 
 import ast
@@ -133,6 +137,17 @@ def test_only_rates_names_a_thread_pool():
     assert modules == {"rates"}
 
 
+def _run_script(script: str, *args: str) -> list[str]:
+    """The stdout lines of ``script`` run in a fresh interpreter on the
+    checkout's ``src``."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script, *args], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return out.stdout.splitlines()
+
+
 def test_cli_start_loads_no_heavy_scipy_subpackage():
     """Importing the command line, validating every preset and computing
     the exact GL_2 centering leave the heavy scipy subpackages unloaded."""
@@ -147,12 +162,33 @@ for doc in PRESETS.values():
 gl_center_profile(GLdWalkModel(d=2), 0)
 print(sorted(set({heavy!r}) & set(sys.modules)))
 """
-    path = os.pathsep.join(filter(None, [str(SRC.parent),
-                                         os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+    assert _run_script(script) == ["[]"]
+
+
+def test_non_gaussian_rate_runs_load_no_scipy(tmp_path):
+    """Rate runs of the doubling map, the GL_2 walk and a Rademacher linear
+    model, over both normalizations, load no scipy module; reading a
+    standard-Gaussian Hoelder config loads ``scipy.special``, so a
+    Gaussian run pays for it before ``run_config``."""
+    models = [{"variant": "doubling", "observable": "cos2pi"},
+              {"variant": "gl-walk", "d": 2},
+              {"variant": "linear", "law": "rademacher",
+               "scheme": {"variant": "geometric", "rho": 0.5,
+                          "length": 16}}]
+    script = f"""
+import sys
+from weakdep.cli import PRESETS, ExperimentConfig, run_config
+for i, model in enumerate({models!r}):
+    cfg = ExperimentConfig.from_dict({{
+        "name": f"m{{i}}", "seed": 1, "model": model, "task": "rate",
+        "params": {{"n_grid": [2, 4, 8, 16], "R": 1000,
+                    "normalization": ["sqrt-n-ss2", "sqrt-ESn2"]}}}})
+    run_config(cfg, out_dir=sys.argv[1])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+ExperimentConfig.from_dict(PRESETS["holder-of-linear"])
+print("scipy.special" in sys.modules)
+"""
+    assert _run_script(script, str(tmp_path)) == ["[]", "True"]
 
 
 def _is_auto(node) -> bool:

@@ -274,3 +274,19 @@ def test_sigma_hat_gap_decay_rate_power_law():
     # desk-scale m is pre-asymptotic; assert decay toward the m^{-0.3} law
     slope = np.polyfit(np.log(ms[-4:]), np.log(gaps[-4:]), 1)[0]
     assert -0.45 < slope < -0.1
+
+
+def test_mc_table_of_a_long_scheme_builds_no_tall_law_matrix():
+    # the row blocks are sized by the 4163 keys a path row reads, not by
+    # its 64 lag products; the convolution is imported before the trace
+    import scipy.signal  # noqa: F401
+    model = LinearModel(DifferenceScheme("power", 0.25, 4096),
+                        get_law("rademacher"))
+    tracemalloc.start()
+    try:
+        autocovariance(model, K=4, method="monte-carlo", R=1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block of 1024 rows took 236 MB with its convolution temporaries
+    assert peak < 8 * 2**20
