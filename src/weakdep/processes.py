@@ -27,13 +27,15 @@ capability                linear   Hoelder  doubling  projected  GL walk
 ``partial_sums``          B-N      paths    pairwise  pairwise   stream
 ``truncation_error(J)``   yes      yes      yes       -          -
 ``m_project(m)``          yes      -        yes       -          -
-``exact_autocovariance``  linear   -        doubling  -          -
+``exact_autocovariance``  linear   -        table     -          -
 
 conv. is the convolution shared by the linear and Hoelder models, which
 differ only in their readout of Y; projected is ``DoublingProjectedModel``;
 B-N is the Beveridge-Nelson weighted innovation sum; pairwise is numpy's
 row-sum order, fed step by step from the register loop that ``paths``
-also runs, with no path matrix.  ``m_project`` gives
+also runs, with no path matrix; table is gamma(0..24) of each doubling
+observable, read off ``weakdep._doubling_gamma``, which holds no
+projected (cell-mean) observable.  ``m_project`` gives
 X_{k,m} = E[X_k | eps_k .. eps_{k-m+1}] where it has a closed form.
 """
 

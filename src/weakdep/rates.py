@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +68,9 @@ def run_rate_experiment(model, n_grid, R: int, normalization: str,
                                         seed, i * R)
     grid = [int(n) for n in n_grid]
     if threads > 1:
+        # imported here: concurrent.futures loads logging and queue, which
+        # a serial run never needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(point, range(len(grid)), grid))
     return list(map(point, range(len(grid)), grid))

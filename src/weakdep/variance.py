@@ -6,6 +6,11 @@ the Beveridge-Nelson innovation weights, which is exact at every n and is
 cross-checked against the autocovariance identity
 
     E S_n^2 = n * sum_k gamma(k) - sum_k (n /\\ |k|) gamma(k).
+
+The doubling map's exact autocovariances gamma(0..24) are not integrated
+at run time: they are read off ``weakdep._doubling_gamma``, a table
+written from a per-cell Gauss-Legendre quadrature that the tests keep as
+its reference.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._cephes import hurwitz_zeta
+from ._doubling_gamma import GAMMA as _DOUBLING_GAMMA
 from .errors import (
     DegenerateVarianceError,
     InternalConsistencyError,
@@ -69,21 +75,8 @@ def _exact_linear_gamma(model, K: int) -> np.ndarray:
     return g
 
 
-# Gauss-Legendre nodes on [0, 1], used per half-cell so that the
-# half-indicator observable is integrated exactly: u-nodes covering [0, 1]
-# as two half-cells, with their weights
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-_DOUBLING_NODES = np.concatenate([0.5 * _GL_NODES, 0.5 + 0.5 * _GL_NODES])
-_DOUBLING_WEIGHTS = np.concatenate([0.5 * _GL_WEIGHTS, 0.5 * _GL_WEIGHTS])
-
-# the quadrature for lag k runs over 2^k dyadic cells
-_DOUBLING_LAG_CAP = 24
-# float64 values per quadrature block: 64 KiB temporaries stay below
-# glibc's default 128 KiB mmap threshold, so the allocator reuses them,
-# where larger ones are mapped or trimmed and page-faulted afresh per block
-_DOUBLING_BLOCK = 1 << 13
+# the table holds lags 0..24 of every doubling observable
+_DOUBLING_LAG_CAP = min(map(len, _DOUBLING_GAMMA.values())) - 1
 
 
 def _check_lags(method: str, K: int) -> None:
@@ -95,38 +88,11 @@ def _check_lags(method: str, K: int) -> None:
 
 
 def _exact_doubling_gamma(model, K: int) -> np.ndarray:
-    """gamma(k) = int_0^1 f(x) f(2^k x mod 1) dx by per-cell quadrature,
-    each dyadic cell split at its midpoint (where 2^k x mod 1 crosses 1/2).
-
-    The cells are summed in chunks of 2^16, each chunk in cache-sized row
-    blocks.  A block sits below the chunk's running column sum in one
-    C-contiguous buffer, whose axis-0 sum adds row after row, so the bits
-    are those of summing the whole chunk at once."""
+    """gamma(k) = int_0^1 f(x) f(2^k x mod 1) dx for k = 0..K, read off
+    the table that ``weakdep._doubling_gamma`` holds for the model's
+    observable."""
     _check_lags("exact-doubling", K)
-    f, u = model.register_value, _DOUBLING_NODES
-    wfu = _DOUBLING_WEIGHTS * f(u)
-    chunk, rows = 1 << 16, _DOUBLING_BLOCK // len(u)
-    buf = np.empty((rows + 1, len(u)))
-    g = np.zeros(K + 1)
-    for k in range(K + 1):
-        h = 2.0 ** -k
-        cells = 2 ** k
-        outer = np.zeros(len(u))
-        for lo in range(0, cells, chunk):
-            hi = min(lo + chunk, cells)
-            top = 1  # the chunk's first block has no running sum above it
-            for b in range(lo, hi, rows):
-                i = np.arange(b, min(b + rows, hi), dtype=np.float64)
-                x = buf[1:len(i) + 1]
-                np.add(i[:, None], u[None, :], out=x)
-                x *= h
-                f(x, out=x)
-                buf[0] = buf[top:len(i) + 1].sum(axis=0)
-                top = 0
-            outer += buf[0]
-        # gamma(k) = h * sum_g wq_g f(u_g) * sum_i f((i + u_g) h)
-        g[k] = h * np.dot(wfu, outer)
-    return g
+    return np.array(_DOUBLING_GAMMA[model.observable][:K + 1])
 
 
 def _mc_gamma(model, K: int, R: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +143,8 @@ def autocovariance(model, K: int, method: str = "auto", R: int = 4096,
     """Autocovariance table for lags 0..K.
 
     method 'exact-linear' reads the coefficient convolution off the scheme;
-    'exact-doubling' integrates f(x) f(2^k x mod 1) by quadrature;
+    'exact-doubling' reads the table of int f(x) f(2^k x mod 1) dx written
+    from a per-cell quadrature, for K <= 24;
     'monte-carlo' averages lagged products across R replications.
     """
     if K < 1:
@@ -276,7 +243,8 @@ def sum_variance(model, n: int, seed: int = 0, R: int = 4096) -> float:
 
 def model_longrun_variance(model, seed: int = 0) -> LongRunVariance:
     """ss^2 from the model's natural table: lags 0..48 by Monte Carlo over
-    4096 replications, 0..min(L, 256) exact-linear, 0..20 exact-doubling."""
+    4096 replications, 0..min(L, 256) exact-linear, 0..20 exact-doubling
+    (read off the table written from the doubling quadrature)."""
     method = _autocov_method(model)
     K = (48 if method == "monte-carlo" else 20 if method == "exact-doubling"
          else min(model.scheme.length, 256))

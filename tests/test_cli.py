@@ -376,14 +376,17 @@ def test_validate_and_run_agree_on_rate_params(tmp_path, task, model, params,
 
 
 def test_doubling_variance_lag_cap_boundary(tmp_path):
-    """K = 24 is the last lag the exact-doubling route tabulates; running it
-    would integrate 2^24 cells, so the boundary is checked without a run."""
+    """K = 24 is the last lag the exact-doubling table holds: on the auto
+    route it validates and runs, and K = 25 exits 3 from both commands."""
     _check_lags("exact-doubling", 24)
     with pytest.raises(PreconditionError):
         _check_lags("exact-doubling", 25)
-    path = _write(tmp_path, {**BASE, "model": COS2PI, "task": "variance",
-                             "params": {"K": 24, "n": 16, "m": 2}})
-    assert main(["validate", path]) == EXIT_OK
+    for K, expected in ((24, EXIT_OK), (25, EXIT_PRECONDITION)):
+        path = _write(tmp_path, {**BASE, "model": COS2PI, "task": "variance",
+                                 "params": {"K": K, "n": 16, "m": 2}})
+        assert main(["validate", path]) == expected
+        out = str(tmp_path / f"o{K}")
+        assert main(["run", path, "--out", out]) == expected
 
 
 @pytest.mark.parametrize("doc", [

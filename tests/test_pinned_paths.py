@@ -30,7 +30,11 @@ of the doubling path matrix.
 The K = 18 exact-doubling tables reach levels of 2^17 and 2^18 cells, so
 the quadrature runs over more than one 2^16-cell chunk and many row
 blocks inside each.  Their digests were recorded when each chunk was
-evaluated as one (cells x nodes) array.
+evaluated as one (cells x nodes) array, and when the library integrated
+every table at run time; it now reads the observables' tables off
+``weakdep._doubling_gamma``, and the m = 12 projection, which no library
+route serves, is integrated by the reference quadrature of
+``tests/doubling_reference.py``.
 
 The law cases pin each innovation law on its own: ``law_values`` over a
 (301, 4609) key block, which takes 22 key blocks, the last one partial,
@@ -62,6 +66,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from doubling_reference import doubling_gamma
 
 from weakdep.dependence import theta_gl_surrogate, theta_mc
 from weakdep.innovations import LAWS, SERIES_BASE, get_law, law_values
@@ -77,7 +82,7 @@ from weakdep.processes import (
     sample_path,
     truncation_error,
 )
-from weakdep.variance import _exact_doubling_gamma, autocovariance
+from weakdep.variance import autocovariance
 
 GL2 = GLdWalkModel(d=2)
 # a short burn-in and few centering replications keep the d = 3 pre-pass
@@ -168,10 +173,9 @@ def _cases():
         cases[f"doubling-cos2pi{tag}-sample-path-n200"] = (
             lambda m=m: sample_path(m, 7, 3, 200))
     # the projected model has no exact route of its own; its table is the
-    # same quadrature on the cell-mean observable
+    # reference quadrature on the cell-mean observable
     cases["doubling-cos2pi-m12-autocov-exact-k18"] = (
-        lambda: _exact_doubling_gamma(
-            m_project(DoublingModel("cos2pi"), 12), 18))
+        lambda: doubling_gamma(m_project(DoublingModel("cos2pi"), 12), 18))
     for obs in OBSERVABLES:
         model = DoublingModel(obs)
         proj = m_project(model, 4)

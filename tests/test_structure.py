@@ -15,8 +15,10 @@ loads no scipy module: Phi and the Hurwitz zeta function are ports
 a non-Gaussian linear model loads none at all; the Gaussian law loads
 ``scipy.special`` when its model is built, the heavier scipy subpackages
 load where they are called, and the GL_2 centering's quadrature rule is a
-table.  Every optional parameter of a library function is set by some
-call.
+table.  The doubling autocovariances are a table too, so no module
+reaches ``numpy.polynomial``, and a serial run never imports
+``concurrent.futures``.  Every optional parameter of a library function
+is set by some call.
 """
 
 import ast
@@ -137,6 +139,17 @@ def test_only_rates_names_a_thread_pool():
     assert modules == {"rates"}
 
 
+def test_no_module_reaches_numpy_polynomial():
+    sites = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "polynomial"
+             or isinstance(node, ast.alias) and "polynomial" in node.name
+             or isinstance(node, ast.ImportFrom)
+             and "polynomial" in (node.module or "")]
+    assert sites == []
+
+
 def _run_script(script: str, *args: str) -> list[str]:
     """The stdout lines of ``script`` run in a fresh interpreter on the
     checkout's ``src``."""
@@ -167,7 +180,9 @@ print(sorted(set({heavy!r}) & set(sys.modules)))
 
 def test_non_gaussian_rate_runs_load_no_scipy(tmp_path):
     """Rate runs of the doubling map, the GL_2 walk and a Rademacher linear
-    model, over both normalizations, load no scipy module; reading a
+    model, over both normalizations, load no scipy module, no
+    ``numpy.polynomial`` (the doubling lags are a table) and, on one
+    thread, no ``concurrent.futures``; reading a
     standard-Gaussian Hoelder config loads ``scipy.special``, so a
     Gaussian run pays for it before ``run_config``."""
     models = [{"variant": "doubling", "observable": "cos2pi"},
@@ -185,10 +200,11 @@ for i, model in enumerate({models!r}):
                     "normalization": ["sqrt-n-ss2", "sqrt-ESn2"]}}}})
     run_config(cfg, out_dir=sys.argv[1])
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted({{"numpy.polynomial", "concurrent.futures"}} & set(sys.modules)))
 ExperimentConfig.from_dict(PRESETS["holder-of-linear"])
 print("scipy.special" in sys.modules)
 """
-    assert _run_script(script, str(tmp_path)) == ["[]", "True"]
+    assert _run_script(script, str(tmp_path)) == ["[]", "[]", "True"]
 
 
 def _is_auto(node) -> bool:

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from doubling_reference import doubling_gamma
 from scipy.special import zeta
 
+from weakdep._doubling_gamma import GAMMA
 from weakdep.errors import (
     DegenerateVarianceError,
     InternalConsistencyError,
@@ -85,6 +87,21 @@ def test_doubling_autocov_exact():
     t = autocovariance(DoublingModel("cos2pi"), K=6, method="exact-doubling")
     assert t.gamma[0] == pytest.approx(0.5, abs=1e-10)
     np.testing.assert_allclose(t.gamma[1:], 0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("observable",
+                         ["cos2pi", "centered-x", "indicator-half"])
+def test_doubling_table_is_the_reference_quadrature(observable):
+    # the table's literals were written from the reference quadrature, and
+    # the route must serve them bit for bit at every lag it accepts; each
+    # lag is integrated on its own, so a shorter table is a prefix
+    model = DoublingModel(observable)
+    ref = doubling_gamma(model, 24)
+    assert np.array(GAMMA[observable]).tobytes() == ref.tobytes()
+    table = autocovariance(model, K=24, method="exact-doubling")
+    assert table.gamma.tobytes() == ref.tobytes()
+    assert doubling_gamma(model, 6).tobytes() == ref[:7].tobytes()
+    assert autocovariance(model, K=6).gamma.tobytes() == ref[:7].tobytes()
 
 
 def test_monte_carlo_autocov_matches_exact():
