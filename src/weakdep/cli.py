@@ -511,12 +511,15 @@ def _task_variance(cfg, model):
     K, n, m = (_count_param(p, "K", 64), _count_param(p, "n", 1024),
                _count_param(p, "m", 16))
     method, R = p.get("method", "auto"), p.get("R", 4096)
-    _check_lags(_autocov_method(model, method), K)
+    route = _autocov_method(model, method)
+    _check_lags(route, K)
+    if route == "monte-carlo":
+        check_replications(R, "the Monte Carlo autocovariance")
 
     def run(writer):
         table = autocovariance(model, K=K, method=method, R=R, seed=cfg.seed)
         lrv = longrun_variance(table)
-        s_n2 = sum_variance(model, n, seed=cfg.seed) / n
+        s_n2 = sum_variance(model, n, seed=cfg.seed, R=R) / n
         sh = sigma_hat_m(table, m)
         writer.write_csv(f"{cfg.name}-autocov.csv", ["k", "gamma", "stderr"],
                          [[k, f"{table.gamma[k]:.12g}",

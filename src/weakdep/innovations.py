@@ -12,6 +12,9 @@ centering pre-passes and nested Monte Carlo.  ``channel`` separates
 multiple draws needed at the same time index (e.g. rotation angle and
 log-gain of a matrix increment).
 
+Each law is one ``InnovationLaw`` record in the ``LAWS`` table, which
+holds all that the library knows of it.
+
 ``law_values`` allocates its result once (or fills a given ``out``) in
 row slices of at most ``KEY_BLOCK`` keys (one row per slice if a row
 alone is wider): each slice's words are hashed into the ``uint64`` view
@@ -43,8 +46,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -178,10 +181,10 @@ def raw_words(seed, replication, series, times, channel=0, out=None,
     bits 0-62 are not.
     """
     if prefix is None:
-        prefix = _premix(_stream_state(seed, replication, series, channel))
+        prefix = key_prefix(seed, replication, series, channel)
+    if premixed_times is None:
+        premixed_times = time_row(times)
     with np.errstate(over="ignore"):
-        if premixed_times is None:
-            premixed_times = _premix(_as_u64(times) * _GAMMA)
         z = np.bitwise_xor(prefix, premixed_times, out=out)
         z *= _M1
         z = _xorshift(z, _S27)
@@ -206,19 +209,14 @@ _ONE = np.float64(1.0).view(np.uint64)  # the bit pattern of 1.0
 
 def _special():
     """``scipy.special``, imported on first use: of the laws, only the
-    Gaussian needs it (``ndtri``, ``gammaln``), and the import costs about
-    a quarter second and 25 MB."""
+    Gaussian transform needs it (``ndtri``), and the import costs about a
+    quarter second and 25 MB."""
     import scipy.special
     return scipy.special
 
 
 def _gaussian(words, out):
     _special().ndtri(uniform01(words, out), out=out)
-
-
-def _gaussian_abs_moment(p):
-    return float(np.exp(0.5 * p * np.log(2.0) + _special().gammaln(
-        (p + 1) / 2.0) - 0.5 * np.log(np.pi)))
 
 
 def _rademacher(words, out):
@@ -239,69 +237,58 @@ def _raw_bit(words, out):
     bits *= _ONE
 
 
-class _Law(NamedTuple):
-    sample: Callable          # (words, out) -> None; out may alias words
-    abs_moment: Callable      # p -> E |eps|^p
-    central_moment: Callable  # integer k -> E (eps - E eps)^k
-    sign_only: bool           # sample reads only bit 63 of each word
-    load: Callable = lambda: None  # imports what sample needs
-
-
-# one row per law; every moment is analytic
-_LAWS = {
-    "standard-gaussian": _Law(
-        sample=_gaussian,
-        abs_moment=_gaussian_abs_moment,
-        central_moment=lambda k: 0.0 if k % 2 else (
-            float(np.prod(np.arange(1, k, 2, dtype=float))) if k else 1.0),
-        sign_only=False, load=_special),
-    "rademacher": _Law(
-        sample=_rademacher,
-        abs_moment=lambda p: 1.0,
-        central_moment=lambda k: 0.0 if k % 2 else 1.0,
-        sign_only=True),
-    # uniform on [-sqrt(3), sqrt(3)]
-    "centered-uniform": _Law(
-        sample=_centered_uniform,
-        abs_moment=lambda p: float(3.0 ** (p / 2.0) / (p + 1.0)),
-        central_moment=lambda k: 0.0 if k % 2 else float(
-            3.0 ** (k / 2) / (k + 1.0)),
-        sign_only=False),
-    "raw-bit": _Law(
-        sample=_raw_bit,
-        abs_moment=lambda p: 0.5,
-        central_moment=lambda k: 0.0 if k % 2 else 0.5 ** k,
-        sign_only=True),
-}
-
-
 @dataclass(frozen=True)
 class InnovationLaw:
-    """A marginal law for innovation streams.
-
-    All laws except ``raw-bit`` have mean 0 and variance 1; ``raw-bit`` is
-    the fair Bernoulli bit used by the doubling-map models.
-    """
+    """A marginal law for innovation streams; records of one ``kind`` are
+    equal.  ``transform(words, out)`` writes the law's values of ``words``
+    into ``out``, which may alias them, and reads only bit 63 of each word
+    if ``sign_only``; ``load()`` imports what it needs.  All laws except
+    ``raw-bit`` have mean 0 and variance 1; ``raw-bit`` is the fair
+    Bernoulli bit used by the doubling-map models.  Every moment is
+    analytic: ``central_moment(k)`` is E (eps - E eps)^k for integer k."""
 
     kind: str
+    transform: Callable = field(compare=False, repr=False)
+    _abs_moment: Callable = field(compare=False, repr=False)
+    central_moment: Callable = field(compare=False, repr=False)
+    sign_only: bool = field(default=False, compare=False, repr=False)
+    load: Callable = field(default=lambda: None, compare=False, repr=False)
 
     def sample(self, words: np.ndarray) -> np.ndarray:
         out = np.empty(np.shape(words))
-        _LAWS[self.kind].sample(words, out)
+        self.transform(words, out)
         return out
 
     def abs_moment(self, p: float) -> float:
-        """E |eps|^p, analytic."""
+        """E |eps|^p."""
         if p <= 0:
             raise ValueError("p must be positive")
-        return _LAWS[self.kind].abs_moment(p)
+        return self._abs_moment(p)
 
-    def central_moment(self, k: int) -> float:
-        """E (eps - E eps)^k, analytic, for integer k."""
-        return _LAWS[self.kind].central_moment(k)
+    def __reduce__(self):
+        # the lambdas do not pickle; the record is found again by its kind
+        return get_law, (self.kind,)
 
 
-LAWS = {kind: InnovationLaw(kind) for kind in _LAWS}
+LAWS = {law.kind: law for law in (
+    InnovationLaw(
+        "standard-gaussian", _gaussian,
+        lambda p: math.exp(0.5 * p * math.log(2.0) + math.lgamma((p + 1) / 2)
+                           - 0.5 * math.log(math.pi)),
+        lambda k: 0.0 if k % 2 else float(math.prod(range(1, k, 2))),
+        load=_special),
+    InnovationLaw(
+        "rademacher", _rademacher, lambda p: 1.0,
+        lambda k: 0.0 if k % 2 else 1.0, sign_only=True),
+    # uniform on [-sqrt(3), sqrt(3)]
+    InnovationLaw(
+        "centered-uniform", _centered_uniform,
+        lambda p: float(3.0 ** (p / 2.0) / (p + 1.0)),
+        lambda k: 0.0 if k % 2 else float(3.0 ** (k / 2) / (k + 1.0))),
+    InnovationLaw(
+        "raw-bit", _raw_bit, lambda p: 0.5,
+        lambda k: 0.0 if k % 2 else 0.5 ** k, sign_only=True),
+)}
 
 
 def get_law(kind) -> InnovationLaw:
@@ -315,7 +302,7 @@ def get_law(kind) -> InnovationLaw:
     except KeyError:
         raise PreconditionError(
             f"unknown law {kind!r}; available: {sorted(LAWS)}") from None
-    _LAWS[kind].load()
+    law.load()
     return law
 
 
@@ -331,8 +318,8 @@ def law_values(law, seed, replication, series, times, channel=0,
     prefix and time row are derived once per call, unless given (see
     ``raw_words``), and sliced like the keys.  A law that reads only bit
     63 gets sign-only words."""
-    row = _LAWS[get_law(law).kind]
-    sample, sign_only = row.sample, row.sign_only
+    law = get_law(law)
+    sample, sign_only = law.transform, law.sign_only
     keys = [np.asarray(k) for k in (seed, replication, series, times,
                                     channel)]
     shape = np.broadcast_shapes(*(k.shape for k in keys))

@@ -499,31 +499,21 @@ class HolderOfLinearModel(_LinearFilter):
 _TWO63 = np.uint64(1) << np.uint64(63)
 
 
-def _unit(x, out):
-    """A point of [0, 1) given as floats or as 64-bit register words
-    (u = w * 2^-64, newest bit at the MSB), as floats in ``out``, which
-    may be ``x`` itself."""
-    if x.dtype == np.uint64:
-        np.multiply(x, 2.0 ** -64, out=out)
-    elif x is not out:
-        np.copyto(out, x)
-
-
-def _cos2pi(x, out):
-    _unit(x, out)
+def _cos2pi(w, out):
+    np.multiply(w, 2.0 ** -64, out=out)
     out *= 2.0 * np.pi
     np.cos(out, out=out)
 
 
-def _centered_x(x, out):
-    _unit(x, out)
+def _centered_x(w, out):
+    np.multiply(w, 2.0 ** -64, out=out)
     out -= 0.5
 
 
-def _indicator_half(x, out):
+def _indicator_half(w, out):
     # words are compared as integers: w * 2^-64 rounds the words just
     # below 2^63 up to 1/2; True - 0.5 and False - 0.5 are exactly +-1/2
-    np.subtract(x < (_TWO63 if x.dtype == np.uint64 else 0.5), 0.5, out=out)
+    np.subtract(w < _TWO63, 0.5, out=out)
 
 
 def _cos2pi_cell_mean(x, h, out):
@@ -548,8 +538,8 @@ def _indicator_half_cell_mean(x, h, out):
 
 
 class _DoublingObservable(NamedTuple):
-    # each writes its values into ``out``, which may be its input x
-    f: Callable             # (x, out): f(x), x floats in [0, 1) or words
+    # each writes its values into ``out`` (cell_mean's may be its input x)
+    f: Callable             # (w, out): f(w * 2^-64), w register words
     cell_mean: Callable     # (x, h, out): mean of f over [x, x + h), h = 2^-m
     modulus: Callable       # L2 change of f over a shift of the state by h
 
@@ -648,8 +638,9 @@ class _DoublingRegister(_WindowModel):
         return self.nbits
 
     def register_value(self, w, out=None) -> np.ndarray:
-        """X off register words ``w`` (or off floats in [0, 1)), written
-        into ``out`` (which may be ``w`` itself; a fresh array if None)."""
+        """X off register words ``w`` (uint64, the newest ``nbits`` bits
+        with the newest highest), written into ``out`` (a fresh array if
+        None)."""
         if out is None:
             out = np.empty(np.shape(w))
         self._readout(w, out)

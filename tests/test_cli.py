@@ -223,7 +223,7 @@ CELL_MODELS = {
 }
 CELL_PARAMS = {
     "depcoef": {"l_grid": [1, 2], "R": 1000},
-    "variance": {"K": 4, "n": 16, "m": 2, "R": 256},
+    "variance": {"K": 4, "n": 16, "m": 2, "R": 1000},
     "bedist": {"n": 16, "R": 1000, "normalization": "sqrt-ESn2"},
     "rate": {"n_grid": [2, 4, 8, 16], "R": 1000,
              "normalization": "sqrt-ESn2"},
@@ -355,6 +355,17 @@ ASSUMPTIONS_P2 = {"l_grid": list(range(1, 9)), "p": 2, "b": 0.6, "R": 1000}
     ("variance", {**BASE["model"],
                   "scheme": {"variant": "geometric", "rho": 0.5, "length": 0}},
      {"K": 4, "n": 16, "m": 2}, EXIT_PRECONDITION),
+    # the Monte Carlo variance route (the GL_2 walk has no other, and a
+    # linear model takes it by name) needs R >= 1000; an exact route
+    # reads R and ignores it
+    ("variance", CELL_MODELS["gl-walk"], {"K": 4, "n": 16, "m": 2, "R": 0},
+     EXIT_PRECONDITION),
+    ("variance", CELL_MODELS["gl-walk"], {"K": 4, "n": 16, "m": 2, "R": 999},
+     EXIT_PRECONDITION),
+    ("variance", BASE["model"],
+     {"K": 4, "n": 16, "m": 2, "R": 10, "method": "monte-carlo"},
+     EXIT_PRECONDITION),
+    ("variance", BASE["model"], {"K": 4, "n": 16, "m": 2, "R": 10}, EXIT_OK),
 ], ids=["unknown-method", "unknown-normalization", "monte-carlo-R",
         "bedist-R", "closed-form-R-0", "depcoef-R", "assumptions-R",
         "blocks-degeneracy-R", "bedist-n-0", "variance-K-0", "variance-m-0",
@@ -366,7 +377,9 @@ ASSUMPTIONS_P2 = {"l_grid": list(range(1, 9)), "p": 2, "b": 0.6, "R": 1000}
         "closed-form-assumptions-p-3", "closed-form-assumptions-p-2",
         "doubling-variance-default-K", "doubling-variance-K-25",
         "closed-form-assumptions-doubling", "assumptions-mode-typo",
-        "closed-form-assumptions-R", "geometric-length-0"])
+        "closed-form-assumptions-R", "geometric-length-0",
+        "gl-variance-R-0", "gl-variance-R-999", "linear-mc-variance-R-10",
+        "exact-variance-R-10"])
 def test_validate_and_run_agree_on_rate_params(tmp_path, task, model, params,
                                                expected):
     path = _write(tmp_path, {**BASE, "model": model, "task": task,

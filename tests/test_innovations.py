@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -168,6 +170,18 @@ def test_unknown_law_rejected():
                         "centered-uniform", "raw-bit"}
 
 
+def test_law_records_compare_by_kind():
+    # models are frozen dataclasses that hold their law, so a record
+    # compares, hashes, prints and pickles by its kind alone
+    for kind, law in LAWS.items():
+        assert get_law(kind) is law and get_law(law) is law
+        assert pickle.loads(pickle.dumps(law)) is law
+        twin = dataclasses.replace(law, transform=None)
+        assert twin == law and hash(twin) == hash(law)
+        assert repr(law) == f"InnovationLaw(kind={kind!r})"
+    assert LAWS["rademacher"] != LAWS["raw-bit"]
+
+
 # (replication, times, channel) keys: an over-budget (301, 4609) block
 # whose last row slice is ragged, the same block on channel 1, a block
 # spanned by a channel column, scalar keys, and long 1-D keys on either
@@ -336,7 +350,7 @@ def test_sign_only_laws_read_only_bit_63():
     words = raw_words(5, np.arange(64)[:, None], SERIES_BASE, np.arange(64))
     scramble = raw_words(6, np.arange(64)[:, None], SERIES_BASE,
                          np.arange(64)) & np.uint64((1 << 63) - 1)
-    sign_only = [kind for kind, row in innovations._LAWS.items()
+    sign_only = [kind for kind, row in LAWS.items()
                  if row.sign_only]
     assert sorted(sign_only) == ["rademacher", "raw-bit"]
     for kind in sign_only:

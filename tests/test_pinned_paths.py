@@ -32,9 +32,8 @@ the quadrature runs over more than one 2^16-cell chunk and many row
 blocks inside each.  Their digests were recorded when each chunk was
 evaluated as one (cells x nodes) array, and when the library integrated
 every table at run time; it now reads the observables' tables off
-``weakdep._doubling_gamma``, and the m = 12 projection, which no library
-route serves, is integrated by the reference quadrature of
-``tests/doubling_reference.py``.
+``weakdep._doubling_gamma``.  The m-projections have no exact route;
+their Monte Carlo tables are pinned at m = 4.
 
 The law cases pin each innovation law on its own: ``law_values`` over a
 (301, 4609) key block, which takes 22 key blocks, the last one partial,
@@ -66,7 +65,6 @@ import hashlib
 
 import numpy as np
 import pytest
-from doubling_reference import doubling_gamma
 
 from weakdep.dependence import theta_gl_surrogate, theta_mc
 from weakdep.innovations import LAWS, SERIES_BASE, get_law, law_values
@@ -172,10 +170,6 @@ def _cases():
             lambda m=m: m.paths(7, R21_REPS, 50))
         cases[f"doubling-cos2pi{tag}-sample-path-n200"] = (
             lambda m=m: sample_path(m, 7, 3, 200))
-    # the projected model has no exact route of its own; its table is the
-    # reference quadrature on the cell-mean observable
-    cases["doubling-cos2pi-m12-autocov-exact-k18"] = (
-        lambda: doubling_gamma(m_project(DoublingModel("cos2pi"), 12), 18))
     for obs in OBSERVABLES:
         model = DoublingModel(obs)
         proj = m_project(model, 4)
@@ -250,8 +244,6 @@ PINNED = {
         "085486c423adb22f4cec04f5da7aaa675e0ed41192f24301f74cb56dc19cec4b",
     "doubling-cos2pi-autocov-mc-r2049":
         "652bc8f2b009356cc7313f2baf52480655aec3c5a1a4cbd34cb519a97c547719",
-    "doubling-cos2pi-m12-autocov-exact-k18":
-        "5e6db944c8a77d7d3831f6191e0468e54ffeb445e42fbcf876ac46a9847c42b9",
     "doubling-cos2pi-m4-autocov-mc":
         "6360dbd40f6d3cc46f1dc61a5543f179b6b5c262782db3930d60c91d41409708",
     "doubling-cos2pi-m4-partial-sums":

@@ -17,15 +17,22 @@ a non-Gaussian linear model loads none at all; the Gaussian law loads
 load where they are called, and the GL_2 centering's quadrature rule is a
 table.  The doubling autocovariances are a table too, so no module
 reaches ``numpy.polynomial``, and a serial run never imports
-``concurrent.futures``.  Every optional parameter of a library function
-is set by some call.
+``concurrent.futures``.  The laws' moments use ``math`` alone, so no
+moment loads ``scipy.special``.  Every optional parameter of a library
+function is set by some call.  The package version has one source,
+``weakdep.__version__``, which ``pyproject.toml`` reads.
 """
 
 import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+
+from setuptools.config.pyprojecttoml import read_configuration
+
+import weakdep
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weakdep"
 PUBLIC_MODELS = {"LinearModel", "HolderOfLinearModel", "DoublingModel",
@@ -205,6 +212,31 @@ ExperimentConfig.from_dict(PRESETS["holder-of-linear"])
 print("scipy.special" in sys.modules)
 """
     assert _run_script(script, str(tmp_path)) == ["[]", "[]", "True"]
+
+
+def test_law_moments_load_no_scipy():
+    """Every law's |eps|^p and central moments are analytic in ``math``:
+    evaluating them all leaves ``scipy.special`` unloaded."""
+    script = """
+import sys
+from weakdep.innovations import LAWS
+for law in LAWS.values():
+    for p in (0.5, 1.0, 2.0, 3.0, 4.5):
+        law.abs_moment(p)
+    for k in range(7):
+        law.central_moment(k)
+print("scipy.special" in sys.modules)
+"""
+    assert _run_script(script) == ["False"]
+
+
+def test_pyproject_reads_the_package_version():
+    with warnings.catch_warnings():
+        # setuptools flags its [tool.setuptools] table as beta
+        warnings.simplefilter("ignore")
+        config = read_configuration(SRC.parent.parent / "pyproject.toml",
+                                    expand=True)
+    assert config["project"]["version"] == weakdep.__version__
 
 
 def _is_auto(node) -> bool:

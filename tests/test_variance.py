@@ -15,6 +15,7 @@ from weakdep.innovations import get_law
 from weakdep.processes import (
     DifferenceScheme,
     DoublingModel,
+    DoublingProjectedModel,
     ExplicitScheme,
     GeometricScheme,
     GLdWalkModel,
@@ -96,11 +97,11 @@ def test_doubling_table_is_the_reference_quadrature(observable):
     # the route must serve them bit for bit at every lag it accepts; each
     # lag is integrated on its own, so a shorter table is a prefix
     model = DoublingModel(observable)
-    ref = doubling_gamma(model, 24)
+    ref = doubling_gamma(observable, 24)
     assert np.array(GAMMA[observable]).tobytes() == ref.tobytes()
     table = autocovariance(model, K=24, method="exact-doubling")
     assert table.gamma.tobytes() == ref.tobytes()
-    assert doubling_gamma(model, 6).tobytes() == ref[:7].tobytes()
+    assert doubling_gamma(observable, 6).tobytes() == ref[:7].tobytes()
     assert autocovariance(model, K=6).gamma.tobytes() == ref[:7].tobytes()
 
 
@@ -242,10 +243,16 @@ def test_difference_scheme_growth_exponent():
 def test_sum_variance_mc_route_matches_exact():
     m = LinearModel(GeometricScheme(0.5, length=64), GAUSS)
     exact = sum_variance(m, 128, seed=0)
-    mc = sum_variance(DoublingModel("cos2pi"), 128, seed=0, R=4096)
-    # the doubling model has the gamma route; cross-check scale: ss2 = 1/2
-    assert mc == pytest.approx(0.5 * 128, rel=0.2)
     assert exact == pytest.approx(exact_sum_variance_linear(m.scheme, 128))
+    # an m-projection has no exact route; each step of the indicator's is
+    # an i.i.d. +-1/2 read off the newest bit, so E S_n^2 = n / 4 exactly.
+    # S_n is near normal, so the sample variance of R sums has a relative
+    # standard deviation near sqrt(2 / R): 5 of them is about 11 %
+    proj = DoublingProjectedModel("indicator-half", 8)
+    assert autocovariance(proj, K=1).method == "monte-carlo"
+    R = 4096
+    mc = sum_variance(proj, 128, seed=0, R=R)
+    assert mc == pytest.approx(128 / 4, rel=5 * np.sqrt(2 / R))
 
 
 # --------------------------------------------------------------------------
