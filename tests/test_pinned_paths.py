@@ -59,6 +59,12 @@ same two row blocks, and the K = 48, R = 4096 GL_2 table is the one the
 gl2-rate benchmark's long-run variance reads.  Their digests were recorded
 when ``_mc_gamma`` built the whole (replications x steps) path matrix and
 the GL step kernel made fresh temporaries every step.
+
+The lambda_max cases run the GL_2 walk with lam uniform on [-0.25, 0.25]
+and on [-2, 2], where every other GL case draws it on [-1, 1], over the
+wide replications and in the contraction surrogate.  Their digests were
+recorded when phi and lam were scaled from [0, 1) in passes of their own
+and the step's norm was an einsum over a transposed copy of the direction.
 """
 
 import hashlib
@@ -86,6 +92,9 @@ GL2 = GLdWalkModel(d=2)
 # a short burn-in and few centering replications keep the d = 3 pre-pass
 # cheap while still running it
 GL3 = GLdWalkModel(d=3, burn_in=16, center_reps=1024)
+# every other GL pin draws lam on [-1, 1]; these scale it by lambda_max
+GL2_LAMBDA = {"0.25": GLdWalkModel(d=2, lambda_max=0.25),
+              "2": GLdWalkModel(d=2, lambda_max=2.0)}
 REPS = np.arange(5, 69)
 OBSERVABLES = ("cos2pi", "centered-x", "indicator-half")
 # 4096 replications leave room for 16 steps per key block, so 40 steps
@@ -150,6 +159,8 @@ def _cases():
         "gl2-partial-sums-wide": lambda: partial_sums(GL2, 7, WIDE_REPS, 40),
         "gl-surrogate-k21-wide": lambda: np.array(
             theta_gl_surrogate(GL2, 21, 2.0, R=4096, seed=2)),
+        "gl-surrogate-lmax2-k3": lambda: np.array(
+            theta_gl_surrogate(GL2_LAMBDA["2"], 3, 2.0, R=500, seed=2)),
         "gl2-autocov-mc-r2049": lambda: _table(autocovariance(
             GL2, K=4, method="monte-carlo", R=2049, seed=11)),
         "doubling-cos2pi-partial-sums-one-step-blocks": lambda: partial_sums(
@@ -157,6 +168,9 @@ def _cases():
         "gl2-autocov-mc-k48-r4096": lambda: _table(autocovariance(
             GL2, K=48, method="monte-carlo", R=4096, seed=11)),
     }
+    for lmax, model in GL2_LAMBDA.items():
+        cases[f"gl2-lmax{lmax}-partial-sums-wide"] = (
+            lambda model=model: partial_sums(model, 7, WIDE_REPS, 40))
     for name, model in (("gl3", GL3), ("holder-abs", HOLDER),
                         ("doubling-cos2pi", DoublingModel("cos2pi"))):
         cases[f"{name}-autocov-mc-r2049"] = (
@@ -310,6 +324,8 @@ PINNED = {
         "ad2ae117555646d520debfcfdb9c31732245174b5398cacd98c07983590c51d2",
     "gl-surrogate-k21-wide":
         "d537bbf3f51058fdcef674b7327424cf4105195badc3c387b72ac73e1e16c962",
+    "gl-surrogate-lmax2-k3":
+        "242bbc822f4559075036004c215cab352556b173e0f1dbffea705bbd79551c23",
     "gl-surrogate-k3":
         "b3dc35f911c504053e85618eb424b391788826375c28ad387b41fee60a26883f",
     "gl2-autocov-mc":
@@ -318,6 +334,10 @@ PINNED = {
         "32dc4b6f2c6aae5e428f3a111b1441f73ba603be21aa742c810e49c828c2fec6",
     "gl2-autocov-mc-r2049":
         "b8db8f71bbe8d858c4ee58faada666333c473e5a84e6489985a7f5661e7f8d62",
+    "gl2-lmax0.25-partial-sums-wide":
+        "b6332b2c97a3bf083df7545ccdd1428278862545d0544295aa74af2199cb3801",
+    "gl2-lmax2-partial-sums-wide":
+        "eb1fa85e7eb6098c6399b7eac697378b27cc4416c7065a396078420809d4183f",
     "gl2-partial-sums":
         "c75e4b19e4a583e33f2dabaefcefa94d014bd52cc5df4d30544be6bef38118e3",
     "gl2-partial-sums-wide":
