@@ -44,9 +44,11 @@ class ConfigError(WeakdepError, ValueError):
 
 
 def check_replications(R: int, what: str) -> None:
-    """Every Monte Carlo estimate (``what``) needs R >= 1000 replications."""
-    if R < 1000:
-        raise PreconditionError(f"{what} needs R >= 1000")
+    """Every Monte Carlo estimate (``what``) needs 1000 <= R <= 2^32
+    replications.  An estimate holds R float64 values, 32 GiB at the cap,
+    so a larger R could only fail inside numpy."""
+    if not 1000 <= R <= 1 << 32:
+        raise PreconditionError(f"{what} needs 1000 <= R <= 2**32, got {R}")
 
 
 def choose_route(method: str, exact: str | None, routes) -> str:

@@ -748,7 +748,17 @@ class GLdWalkModel:
     """Left random walk on GL_d acting on directions: increments
     g = R(phi) diag(e^lam, e^-lam, 1, ..) with phi uniform on [0, 2pi) and
     lam uniform on [-lambda_max, lambda_max]; X_k = log||g_k Y_{k-1}|| minus
-    a Monte Carlo centering profile, quenched at start direction e1."""
+    a Monte Carlo centering profile, quenched at start direction e1.
+
+    The increments act on span(e1, e2) only, so from e1 (and from every
+    start the library uses) a walk with d > 2 stays in that plane: its
+    gains are the GL_2 walk's bit for bit, and only its Monte Carlo
+    centering differs.  A larger d adds only cost, so d <= 64.
+
+    A step squares y0 e^lam with |y0| <= 1, which overflows once
+    lambda_max > ln(DBL_MAX) / 2 = 354.89; the bound 354 leaves a factor
+    e^1.78 ~ 6 for the few-ulp rounding of exp, of the unit direction and
+    of the sum of squares."""
 
     d: int = 2
     lambda_max: float = 1.0
@@ -756,10 +766,12 @@ class GLdWalkModel:
     center_reps: int = 1 << 15
 
     def __post_init__(self):
-        if self.d < 2:
-            raise PreconditionError("dimension must be >= 2")
-        if self.lambda_max < 0:
-            raise PreconditionError("lambda_max must be >= 0")
+        if not 2 <= self.d <= 64:
+            raise PreconditionError(f"dimension must lie in [2, 64], "
+                                    f"got {self.d}")
+        if not 0 <= self.lambda_max <= 354.0:
+            raise PreconditionError(f"lambda_max must lie in [0, 354], "
+                                    f"got {self.lambda_max}")
 
     def log_gains(self, seed, replications, n, series=SERIES_BASE,
                   start=None):
@@ -774,10 +786,11 @@ class GLdWalkModel:
         (..., len(replications), d); leading axes are chains driven by the
         same matrices.  The default is the quenched start e1.
 
-        The direction is held one contiguous array per coordinate, and
-        each step writes into temporaries allocated once per call.  The
-        gain is yielded in one reused array, valid only until the next one
-        is drawn: a caller that keeps it copies it.
+        The direction is one contiguous array per coordinate, and each
+        step sums their squares in coordinate order into temporaries
+        allocated once per call, with no transposed copy.  The gain is
+        yielded in one reused array, valid only until the next one is
+        drawn: a caller that keeps it copies it.
         """
         reps = np.asarray(replications)
         if start is None:
@@ -789,10 +802,9 @@ class GLdWalkModel:
         y0, y1 = y[0], y[1]
         gain, t, u = np.empty((3, *y0.shape))
         c, e = np.empty((2, len(reps)))
-        # the norm is the row-major einsum of the (..., d) direction,
-        # which keeps its bits
-        rows = np.empty(y0.shape + (self.d,))
-        flat, flat_gain = rows.reshape(-1, self.d), gain.reshape(-1)
+        # phi = 2 pi k 2^-53 and 2u = k 2^-52 from each word's 53-bit k in
+        # one multiply: a power-of-two scale commutes with rounding
+        scale = (2.0 * np.pi * 2.0 ** -53, 2.0 ** -52)
         prefixes = [key_prefix(seed, reps, series, ch) for ch in (0, 1)]
         blocks = list(_step_blocks(len(reps), n))
         words = np.empty((2, max(map(len, blocks), default=0), len(reps)),
@@ -805,10 +817,8 @@ class GLdWalkModel:
                 # row by row: numpy copies an operand that a cast writes
                 # over, so a whole-block cast would copy the block
                 for row in w:
-                    np.multiply(row, 2.0 ** -53, out=row.view(np.float64))
+                    np.multiply(row, scale[ch], out=row.view(np.float64))
             phi, lam = words[:, :len(ks)].view(np.float64)
-            phi *= 2.0 * np.pi
-            lam *= 2.0
             lam -= 1.0
             lam *= self.lambda_max
             for phi_k, lam_k in zip(phi, lam):
@@ -818,8 +828,9 @@ class GLdWalkModel:
                 # rotations preserve the norm, so the gain is ||D y||
                 y0 *= e
                 y1 *= np.exp(np.negative(lam_k, out=lam_k), out=lam_k)
-                np.copyto(rows, np.moveaxis(y, 0, -1))
-                np.einsum("ij,ij->i", flat, flat, out=flat_gain)
+                np.multiply(y0, y0, out=gain)
+                for yj in y[1:]:
+                    gain += np.multiply(yj, yj, out=t)
                 np.sqrt(gain, out=gain)
                 y /= gain
                 # (y0, y1) <- (c y0 - s y1, s y0 + c y1)

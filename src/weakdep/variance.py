@@ -77,11 +77,16 @@ def _exact_linear_gamma(model, K: int) -> np.ndarray:
 
 # the table holds lags 0..24 of every doubling observable
 _DOUBLING_LAG_CAP = min(map(len, _DOUBLING_GAMMA.values())) - 1
+# a Monte Carlo table runs 2K steps per replication into (K + 1) x R
+# means: 0.5 GiB at this K and the replication floor R = 1000
+_MAX_LAG = 1 << 16
 
 
 def _check_lags(method: str, K: int) -> None:
     """Raise PreconditionError when the resolved autocovariance ``method``
-    cannot tabulate lags 0..K."""
+    cannot tabulate lags 0..K: every route needs 1 <= K <= 2^16."""
+    if not 1 <= K <= _MAX_LAG:
+        raise PreconditionError(f"K must lie in [1, {_MAX_LAG}], got {K}")
     if method == "exact-doubling" and K > _DOUBLING_LAG_CAP:
         raise PreconditionError(
             f"exact-doubling lag cap is {_DOUBLING_LAG_CAP}")
@@ -91,7 +96,6 @@ def _exact_doubling_gamma(model, K: int) -> np.ndarray:
     """gamma(k) = int_0^1 f(x) f(2^k x mod 1) dx for k = 0..K, read off
     the table that ``weakdep._doubling_gamma`` holds for the model's
     observable."""
-    _check_lags("exact-doubling", K)
     return np.array(_DOUBLING_GAMMA[model.observable][:K + 1])
 
 
@@ -147,9 +151,8 @@ def autocovariance(model, K: int, method: str = "auto", R: int = 4096,
     from a per-cell quadrature, for K <= 24;
     'monte-carlo' averages lagged products across R replications.
     """
-    if K < 1:
-        raise PreconditionError("K must be >= 1")
     method = _autocov_method(model, method)
+    _check_lags(method, K)
     if method == "monte-carlo":
         g, se = _mc_gamma(model, K, R, seed)
     else:

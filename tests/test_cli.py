@@ -366,6 +366,13 @@ ASSUMPTIONS_P2 = {"l_grid": list(range(1, 9)), "p": 2, "b": 0.6, "R": 1000}
      {"K": 4, "n": 16, "m": 2, "R": 10, "method": "monte-carlo"},
      EXIT_PRECONDITION),
     ("variance", BASE["model"], {"K": 4, "n": 16, "m": 2, "R": 10}, EXIT_OK),
+    # counts past their caps, which used to pass validate and fail inside
+    # numpy at run time (exit 1)
+    ("bedist", RADEMACHER, {"n": 16, "R": 2**62}, EXIT_PRECONDITION),
+    ("variance", CELL_MODELS["gl-walk"],
+     {"K": 2**62, "n": 16, "m": 2, "R": 1000}, EXIT_PRECONDITION),
+    ("rate", {"variant": "gl-walk", "d": 2**40}, CELL_PARAMS["rate"],
+     EXIT_PRECONDITION),
 ], ids=["unknown-method", "unknown-normalization", "monte-carlo-R",
         "bedist-R", "closed-form-R-0", "depcoef-R", "assumptions-R",
         "blocks-degeneracy-R", "bedist-n-0", "variance-K-0", "variance-m-0",
@@ -379,13 +386,31 @@ ASSUMPTIONS_P2 = {"l_grid": list(range(1, 9)), "p": 2, "b": 0.6, "R": 1000}
         "closed-form-assumptions-doubling", "assumptions-mode-typo",
         "closed-form-assumptions-R", "geometric-length-0",
         "gl-variance-R-0", "gl-variance-R-999", "linear-mc-variance-R-10",
-        "exact-variance-R-10"])
+        "exact-variance-R-10", "bedist-R-2**62", "gl-variance-K-2**62",
+        "gl-rate-d-2**40"])
 def test_validate_and_run_agree_on_rate_params(tmp_path, task, model, params,
                                                expected):
     path = _write(tmp_path, {**BASE, "model": model, "task": task,
                              "params": params})
     assert main(["validate", path]) == expected
     assert main(["run", path, "--out", str(tmp_path / "o")]) == expected
+
+
+@pytest.mark.parametrize("lambda_max, expected",
+                         [(354.0, EXIT_OK), (400.0, EXIT_PRECONDITION)])
+def test_gl_lambda_max_bound(tmp_path, capsys, lambda_max, expected):
+    """Past lambda_max = 354 the squared gains overflow; such a config
+    used to pass validate and end its run on NaN sums ("band ordering
+    violated").  Both commands now refuse it and name the bound."""
+    path = _write(tmp_path, {**BASE, "task": "rate",
+                             "model": {"variant": "gl-walk",
+                                       "lambda_max": lambda_max},
+                             "params": CELL_PARAMS["rate"]})
+    assert main(["validate", path]) == expected
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == expected
+    err = capsys.readouterr().err
+    assert err.count("lambda_max must lie in [0, 354]") == (
+        2 if expected == EXIT_PRECONDITION else 0)
 
 
 def test_doubling_variance_lag_cap_boundary(tmp_path):

@@ -228,6 +228,31 @@ def test_gl_walk_path_finite_and_deterministic():
     assert np.all(np.isfinite(a))
 
 
+def test_gl_walk_parameter_bounds():
+    """At lambda_max = 354 the squared gains stay finite (at 355 they
+    overflowed and the sums turned to NaN); past it, like a dimension
+    outside [2, 64], the model is refused."""
+    s = partial_sums(GLdWalkModel(lambda_max=354.0), 3, np.arange(4096), 64)
+    assert np.all(np.isfinite(s))
+    GLdWalkModel(d=64)
+    for bad in (np.nextafter(354.0, np.inf), 400.0, np.nan, -1.0):
+        with pytest.raises(PreconditionError, match="lambda_max"):
+            GLdWalkModel(lambda_max=bad)
+    for d in (1, 65):
+        with pytest.raises(PreconditionError, match="dimension"):
+            GLdWalkModel(d=d)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_gl_walk_from_e1_stays_in_the_plane(d):
+    """The increments act on span(e1, e2) only, so from e1 the gains of a
+    d > 2 walk are the GL_2 walk's bit for bit."""
+    reps = np.arange(1000)
+    for gain_d, gain_2 in zip(GLdWalkModel(d=d).log_gains(3, reps, 50),
+                              GLdWalkModel(d=2).log_gains(3, reps, 50)):
+        assert gain_d.tobytes() == gain_2.tobytes()
+
+
 def test_gl2_quadrature_table_is_roots_legendre():
     # the table's literals were written from roots_legendre, and its
     # mirrored halves must still give the rule bit for bit
